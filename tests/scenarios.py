@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from dtnsim import (
     RelationActivity,
     RoutineSpec,
@@ -61,3 +63,21 @@ def desk_sim_config(trace, workload, router: str, ttl: float, seed: int, **overr
     )
     params.update(overrides)
     return SimConfig(**params)
+
+
+GOLDEN_CAPACITY = 200_000
+
+
+def golden_scenario(seed: int = 5):
+    """Small desk scenario behind the golden event-log hashes: 20 nodes, 3
+    days, 200 messages over the first 2 days. Background sightings last
+    50 ms, too short for an 11 Mbps link to carry a message above about
+    69 kB, so finite-bandwidth runs abort transfers; with GOLDEN_CAPACITY
+    buffers every run evicts."""
+    spec = replace(
+        desk_spec(node_count=20, days=3),
+        background=RelationActivity(tuple(range(24)), 0.02, 0.05),
+    )
+    trace = generate_routine_trace(spec, seed)
+    workload = tuple(generate_workload(200, 20, (0.0, 2 * DAY), seed))
+    return trace, workload
