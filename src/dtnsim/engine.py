@@ -6,8 +6,10 @@ from __future__ import annotations
 
 import heapq
 import json
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Sequence
 
 from .contacts import (
@@ -52,6 +54,10 @@ KIND_DELETED_COMMUNITY = "deleted_community_rule"
 KIND_ABORTED = "transfer_aborted"
 
 EVENT_LOG_CSV_HEADER = "time,kind,msg,node,peer,size"
+
+DROP_POLICIES = ("oldest_first", "newest_first")
+
+_ORDER_KEY = attrgetter("order_key")
 
 
 class SimStartupError(ValueError):
@@ -133,7 +139,11 @@ class SimConfig:
 
 
 class NodeRuntime:
-    """One simulated node: its bounded buffer and its social ledger."""
+    """One simulated node: its bounded buffer and its social ledger.
+
+    The buffer is kept in `Message.order_key` order as messages come and go,
+    so eviction takes an end of it and `messages_by_creation` never sorts.
+    """
 
     def __init__(self, node_id: int, capacity: int, ledger: SocialLedger):
         self.node_id = node_id
@@ -144,7 +154,8 @@ class NodeRuntime:
         # messages this node received as final recipient; advertised in its
         # summary so carriers do not replicate them again
         self.delivered_ids: set[str] = set()
-        self._sorted: tuple[Message, ...] | None = None
+        self._ordered: list[Message] = []  # the buffer, ascending order_key
+        self._snapshot: tuple[Message, ...] | None = None
 
     def holds(self, msg_id: str) -> bool:
         return msg_id in self.buffer
@@ -153,19 +164,29 @@ class NodeRuntime:
         if m.id in self.buffer:
             raise ValueError(f"duplicate message {m.id} in buffer of node {self.node_id}")
         self.buffer[m.id] = m
+        insort(self._ordered, m, key=_ORDER_KEY)
         self.occupancy += m.size
-        self._sorted = None
+        self._snapshot = None
 
     def remove(self, msg_id: str) -> Message:
         m = self.buffer.pop(msg_id)
+        del self._ordered[bisect_left(self._ordered, m.order_key, key=_ORDER_KEY)]
         self.occupancy -= m.size
-        self._sorted = None
+        self._snapshot = None
+        return m
+
+    def evict(self, newest: bool) -> Message:
+        """Remove and return the oldest (or the newest) buffered message."""
+        m = self._ordered.pop(-1 if newest else 0)
+        del self.buffer[m.id]
+        self.occupancy -= m.size
+        self._snapshot = None
         return m
 
     def messages_by_creation(self) -> tuple[Message, ...]:
-        if self._sorted is None:
-            self._sorted = tuple(sorted(self.buffer.values(), key=lambda m: (m.created_at, m.id)))
-        return self._sorted
+        if self._snapshot is None:
+            self._snapshot = tuple(self._ordered)
+        return self._snapshot
 
 
 def buffer_admit(
@@ -173,19 +194,17 @@ def buffer_admit(
 ) -> tuple[bool, list[Message]]:
     """Admit a message, evicting buffered messages until it fits.
 
-    Eviction is plain oldest-created-first (or newest-first), with no
-    protection for the node's own messages. A message larger than the whole
-    buffer is rejected outright.
+    Eviction follows creation time, then workload row: oldest first, or
+    newest first under "newest_first" (the caller checks the policy name).
+    The node's own messages get no protection. A message larger than the
+    whole buffer is rejected outright.
     """
-    if drop_policy not in ("oldest_first", "newest_first"):
-        raise ValueError(f"unknown drop policy {drop_policy!r}")
     if m.size > node.capacity:
         return False, []
     evicted: list[Message] = []
-    pick = min if drop_policy == "oldest_first" else max
+    newest = drop_policy == "newest_first"
     while node.occupancy + m.size > node.capacity:
-        victim = pick(node.buffer.values(), key=lambda v: (v.created_at, v.id))
-        evicted.append(node.remove(victim.id))
+        evicted.append(node.evict(newest))
     node.add(m)
     return True, evicted
 
@@ -229,6 +248,18 @@ class _OngoingContact:
         self.aborts: list[tuple[int, int, str]] = []  # (from, to, msg id), logged at contact end
 
 
+def _already_held(sender: NodeRuntime, receiver: NodeRuntime, sent: set[str]) -> set[str]:
+    """The sender's message ids that the receiver buffers, was delivered, or
+    was sent on this contact. A decision asks only about the sender's
+    messages, and intersecting with their few ids costs less than a union of
+    the receiver's whole buffer and delivery history."""
+    offered = sender.buffer.keys()
+    held = offered & receiver.buffer.keys()
+    held |= offered & receiver.delivered_ids
+    held |= offered & sent
+    return held
+
+
 class Simulation:
     """One deterministic run over a trace and a workload."""
 
@@ -242,6 +273,9 @@ class Simulation:
             for i in range(n)
         ]
         self.messages = {m.id: m for m in messages_from_workload(cfg.workload, cfg.ttl)}
+        # per live message, the nodes whose buffer holds it (bit i: node i);
+        # expiry visits only these. An int takes far less memory than a set.
+        self.holders: dict[str, int] = dict.fromkeys(self.messages, 0)
         self.log = EventLog()
         self.ongoing: dict[int, _OngoingContact] = {}
         self.ongoing_by_node: dict[int, set[int]] = {i: set() for i in range(n)}
@@ -261,6 +295,10 @@ class Simulation:
             )
         if cfg.ttl <= 0 or cfg.buffer_capacity <= 0:
             raise SimStartupError("ttl and buffer_capacity must be > 0")
+        if cfg.drop_policy not in DROP_POLICIES:
+            raise SimStartupError(
+                f"unknown drop_policy {cfg.drop_policy!r} (valid: {', '.join(DROP_POLICIES)})"
+            )
         if cfg.bandwidth is not None and cfg.bandwidth <= 0:
             raise SimStartupError("bandwidth must be > 0 or unlimited (None)")
         if cfg.k < 3:
@@ -355,10 +393,12 @@ class Simulation:
         # In-flight transfers of the expired message abort at their completion
         # event; expiries are processed first among simultaneous events, so the
         # message can never move at or after this instant.
-        for node in self.nodes:
-            if node.holds(msg_id):
-                node.remove(msg_id)
-                self.log.append(LogRecord(time, KIND_EXPIRED, msg_id, node.node_id))
+        holders = self.holders.pop(msg_id)
+        while holders:  # lowest set bit first: ascending node id
+            node_id = (holders & -holders).bit_length() - 1
+            holders &= holders - 1
+            self.nodes[node_id].remove(msg_id)
+            self.log.append(LogRecord(time, KIND_EXPIRED, msg_id, node_id))
 
     def _on_transfer_complete(self, time: float, src: int, dst: int, msg_id: str, flags: int) -> None:
         m = self.messages[msg_id]
@@ -375,14 +415,21 @@ class Simulation:
             self.log.append(LogRecord(time, KIND_DELIVERED, m.id, src, dst))
         else:
             if not receiver.holds(m.id):
-                _, evicted = buffer_admit(receiver, m, self.cfg.drop_policy)
-                for victim in evicted:
-                    self.log.append(LogRecord(time, KIND_DROPPED, victim.id, dst))
+                self._admit(time, receiver, m)
                 self.log.append(LogRecord(time, KIND_REPLICATED, m.id, src, dst))
                 self._queue_evals(dst)
         if delete_after and self.nodes[src].holds(m.id):
             self.nodes[src].remove(m.id)
+            self.holders[m.id] &= ~(1 << src)
             self.log.append(LogRecord(time, KIND_DELETED_COMMUNITY, m.id, src))
+
+    def _admit(self, time: float, node: NodeRuntime, m: Message) -> None:
+        # every message fits an empty buffer (checked at startup), so it is admitted
+        _, evicted = buffer_admit(node, m, self.cfg.drop_policy)
+        for victim in evicted:
+            self.holders[victim.id] &= ~(1 << node.node_id)
+            self.log.append(LogRecord(time, KIND_DROPPED, victim.id, node.node_id))
+        self.holders[m.id] |= 1 << node.node_id
 
     def _on_contact_end(self, time: float, index: int) -> None:
         oc = self.ongoing.pop(index)
@@ -420,10 +467,7 @@ class Simulation:
 
     def _on_create(self, time: float, msg_id: str) -> None:
         m = self.messages[msg_id]
-        source = self.nodes[m.source]
-        _, evicted = buffer_admit(source, m, self.cfg.drop_policy)
-        for victim in evicted:
-            self.log.append(LogRecord(time, KIND_DROPPED, victim.id, m.source))
+        self._admit(time, self.nodes[m.source], m)
         self.log.append(
             LogRecord(time, KIND_CREATED, msg_id, m.source, m.destination, m.size)
         )
@@ -498,12 +542,11 @@ class Simulation:
             weights=sender.ledger.weights_to_all_neighbors(),
             importance=sender.ledger.importance(),
         )
-        already = oc.sent[(src, dst)]
         peer = PeerSummary(
             node_id=dst,
             weights=receiver.ledger.weights_to_all_neighbors(),
             importance=receiver.ledger.importance(),
-            buffered=frozenset(receiver.buffer) | receiver.delivered_ids | already,
+            buffered=_already_held(sender, receiver, oc.sent[(src, dst)]),
         )
         decision = decide(self.cfg.router, carrier, peer, self.communities, self.centralities)
         if not decision.replicate:

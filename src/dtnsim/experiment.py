@@ -16,7 +16,7 @@ from .contacts import (
     generate_routine_trace,
     load_contact_trace,
 )
-from .engine import SimConfig
+from .engine import DROP_POLICIES, SimConfig
 from .ledger import dump_ledgers_csv
 from .metrics import RunMetrics, aggregate_runs, compute_run_metrics, summarize
 from .routing import ROUTER_NAMES
@@ -159,7 +159,7 @@ def load_experiment_config(raw: Mapping, base_dir: Path | str = ".") -> Experime
         raise ConfigError("k", "must be >= 3")
 
     drop_policy = str(raw.get("drop_policy", "oldest_first"))
-    if drop_policy not in ("oldest_first", "newest_first"):
+    if drop_policy not in DROP_POLICIES:
         raise ConfigError("drop_policy", f"unknown policy {drop_policy!r}")
 
     epoch = raw.get("epoch")

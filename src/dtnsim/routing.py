@@ -10,7 +10,7 @@ to the destination itself bypasses every comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Container, Mapping
 
 from .socialgraph import CentralityTable, CommunityMap
 from .workload import Message
@@ -42,12 +42,13 @@ class CarrierState:
 class PeerSummary:
     """What the encountered node reports at contact time: weights toward all
     its known peers for the current sample, its importance, and the message
-    ids it already holds."""
+    ids it already holds (only asked, with `in`, about the carrier's
+    messages)."""
 
     node_id: int
     weights: Mapping[int, float]
     importance: float
-    buffered: frozenset[str]
+    buffered: Container[str]
 
 
 def _candidates(carrier: CarrierState, peer: PeerSummary):

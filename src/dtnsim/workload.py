@@ -4,7 +4,7 @@ workload generation."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -28,7 +28,13 @@ class WorkloadEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class Message:
-    """A unicast payload replicated across nodes while it lives."""
+    """A unicast payload replicated across nodes while it lives. `row` is its
+    workload row; it breaks ties between equal creation times.
+
+    `order_key` is the buffer order: creation time, then row. The id only
+    separates messages built by hand with the same row. It is set once at
+    construction, like the fields, so attribute access stays fast.
+    """
 
     id: str
     source: int
@@ -36,6 +42,8 @@ class Message:
     created_at: float
     ttl: float
     size: int
+    row: int = 0
+    order_key: tuple[float, int, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.source == self.destination:
@@ -44,6 +52,7 @@ class Message:
             raise ValueError("message size must be > 0")
         if self.ttl <= 0:
             raise ValueError("message ttl must be > 0")
+        object.__setattr__(self, "order_key", (self.created_at, self.row, self.id))
 
     @property
     def expires_at(self) -> float:
@@ -124,7 +133,7 @@ def generate_workload(
 
 
 def messages_from_workload(entries: Sequence[WorkloadEntry], ttl: float) -> tuple[Message, ...]:
-    """Assign stable ids by row order and attach the configured TTL."""
+    """Assign stable ids and rows by row order and attach the configured TTL."""
     return tuple(
         Message(
             id=f"m{i:05d}",
@@ -133,6 +142,7 @@ def messages_from_workload(entries: Sequence[WorkloadEntry], ttl: float) -> tupl
             created_at=e.created_at,
             ttl=ttl,
             size=e.size,
+            row=i,
         )
         for i, e in enumerate(entries)
     )

@@ -172,3 +172,35 @@ def replay_log(log, capacity, node_count):
         "replications": replications,
         "delivered_first": delivered_first,
     }
+
+
+class MinScanBuffer:
+    """Reference model of one node's bounded buffer: a plain dict whose
+    eviction victim is found by a min (oldest_first) or max (newest_first)
+    scan over (created_at, id) for every victim, with no kept order."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.buffer = {}  # msg id -> Message
+        self.occupancy = 0
+
+    def admit(self, m, drop_policy):
+        """Returns (admitted, evicted messages in eviction order)."""
+        if m.size > self.capacity:
+            return False, []
+        evicted = []
+        pick = min if drop_policy == "oldest_first" else max
+        while self.occupancy + m.size > self.capacity:
+            victim = pick(self.buffer.values(), key=lambda v: (v.created_at, v.id))
+            evicted.append(self.remove(victim.id))
+        self.buffer[m.id] = m
+        self.occupancy += m.size
+        return True, evicted
+
+    def remove(self, msg_id):
+        m = self.buffer.pop(msg_id)
+        self.occupancy -= m.size
+        return m
+
+    def messages_by_creation(self):
+        return tuple(sorted(self.buffer.values(), key=lambda m: (m.created_at, m.id)))

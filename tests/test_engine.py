@@ -11,6 +11,7 @@ from dtnsim import (
     Simulation,
     SocialLedger,
     buffer_admit,
+    messages_from_workload,
     run_simulation,
     transfer_within_contact,
 )
@@ -89,6 +90,20 @@ def test_buffer_admit_newest_first_policy():
     buffer_admit(node, _msg("young", 100_000, created=10.0))
     ok, evicted = buffer_admit(node, _msg("incoming", 150_000, created=5.0), "newest_first")
     assert ok and [m.id for m in evicted] == ["young", "old"]
+
+
+def test_buffer_order_follows_workload_row_past_100k_messages():
+    # ids render as m99999 < m100000 only in row order, not as strings
+    msgs = messages_from_workload([WorkloadEntry(0.0, 0, 1, 1000)] * 100_001, ttl=DAY)
+    m99999, m100000 = msgs[99_999], msgs[100_000]
+    assert (m99999.id, m100000.id) == ("m99999", "m100000")
+    for drop_policy, victim in (("oldest_first", m99999), ("newest_first", m100000)):
+        node = _node(capacity=2000)
+        buffer_admit(node, m100000, drop_policy)
+        buffer_admit(node, m99999, drop_policy)
+        assert node.messages_by_creation() == (m99999, m100000)
+        ok, evicted = buffer_admit(node, msgs[0], drop_policy)
+        assert ok and evicted == [victim]
 
 
 # -- link scheduling --------------------------------------------------------
@@ -243,6 +258,8 @@ def test_startup_validation():
         Simulation(simple_cfg(trace, (), k=2))
     with pytest.raises(SimStartupError, match="damping"):
         Simulation(simple_cfg(trace, (), damping=1.5))
+    with pytest.raises(SimStartupError, match="drop_policy"):
+        Simulation(simple_cfg(trace, entries((0.0, 0, 1, 1000)), drop_policy="bogus"))
     day3 = trace_of([(0, 1, 3 * 86400.0, 3 * 86400 + 100.0)])
     with pytest.raises(SimStartupError, match="before epoch"):
         Simulation(simple_cfg(day3, entries((100.0, 0, 1, 1000))))
@@ -303,7 +320,6 @@ def test_epidemic_matches_reachability_oracle_smoke():
     first = {}
     for r in kinds(log, KIND_DELIVERED):
         first.setdefault(r.msg, r.time)
-    from dtnsim import messages_from_workload
 
     for m in messages_from_workload(workload, DAY):
         expected = earliest_delivery(sub.events, m.source, m.destination, m.created_at, m.ttl)
