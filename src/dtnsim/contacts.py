@@ -3,6 +3,7 @@ routine-driven trace generation."""
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -141,6 +142,8 @@ def _parse_record(fields: Sequence[str], line_no: int) -> tuple[int, int, float,
         raise TraceFormatError(line_no, f"non-numeric field: {exc}") from None
     if a == b:
         raise TraceFormatError(line_no, f"self-contact for node {a}")
+    if not (math.isfinite(start) and math.isfinite(end)):
+        raise TraceFormatError(line_no, f"rejected record: non-finite time in [{start}, {end}]")
     if not start < end:
         raise TraceFormatError(line_no, f"rejected record: start {start} >= end {end}")
     return a, b, start, end

@@ -5,12 +5,14 @@ opportunities, and emits an ordered event log."""
 from __future__ import annotations
 
 import heapq
-import json
+import math
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from typing import Sequence
+from types import MappingProxyType
+from typing import NamedTuple, Sequence
 
 from .contacts import (
     ContactEvent,
@@ -20,7 +22,14 @@ from .contacts import (
     split_contact_by_samples,
 )
 from .ledger import SocialLedger
-from .routing import CarrierState, PeerSummary, ROUTER_NAMES, RouterDecision, decide
+from .routing import (
+    LEDGER_ROUTERS,
+    ROUTER_NAMES,
+    CarrierState,
+    PeerSummary,
+    RouterDecision,
+    decide,
+)
 from .socialgraph import (
     CentralityTable,
     CommunityMap,
@@ -57,6 +66,9 @@ EVENT_LOG_CSV_HEADER = "time,kind,msg,node,peer,size"
 
 DROP_POLICIES = ("oldest_first", "newest_first")
 
+# what routers outside LEDGER_ROUTERS get instead of ledger reads
+_NO_WEIGHTS = MappingProxyType({})
+
 _ORDER_KEY = attrgetter("order_key")
 
 
@@ -64,32 +76,13 @@ class SimStartupError(ValueError):
     """Configuration inconsistency detected before the run starts."""
 
 
-@dataclass(frozen=True)
-class LogRecord:
+class LogRecord(NamedTuple):
     time: float
     kind: str
     msg: str
     node: int
     peer: int | None = None
     size: int | None = None
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "time": self.time,
-                "kind": self.kind,
-                "msg": self.msg,
-                "node": self.node,
-                "peer": self.peer,
-                "size": self.size,
-            },
-            separators=(",", ":"),
-        )
-
-    def to_csv_row(self) -> str:
-        peer = "" if self.peer is None else str(self.peer)
-        size = "" if self.size is None else str(self.size)
-        return f"{self.time!r},{self.kind},{self.msg},{self.node},{peer},{size}"
 
 
 @dataclass
@@ -108,12 +101,24 @@ class EventLog:
         return len(self.records)
 
     def to_ndjson(self) -> str:
-        return "".join(r.to_json() + "\n" for r in self.records)
+        """One compact JSON object per record, as `json.dumps` writes it with
+        `separators=(",", ":")`: times in `repr`, ids ASCII-escaped, an
+        absent peer or size as `null`."""
+        esc = encode_basestring_ascii
+        return "".join([
+            f'{{"time":{t!r},"kind":{esc(k)},"msg":{esc(m)},"node":{n},'
+            f'"peer":{"null" if p is None else p},"size":{"null" if s is None else s}}}\n'
+            for t, k, m, n, p, s in self.records
+        ])
 
     def to_csv(self) -> str:
-        lines = [EVENT_LOG_CSV_HEADER]
-        lines.extend(r.to_csv_row() for r in self.records)
-        return "\n".join(lines) + "\n"
+        """`EVENT_LOG_CSV_HEADER` and one row per record; an absent peer or
+        size is an empty field."""
+        rows = [
+            f'{t!r},{k},{m},{n},{"" if p is None else p},{"" if s is None else s}\n'
+            for t, k, m, n, p, s in self.records
+        ]
+        return EVENT_LOG_CSV_HEADER + "\n" + "".join(rows)
 
 
 @dataclass(frozen=True)
@@ -272,10 +277,13 @@ class Simulation:
             NodeRuntime(i, cfg.buffer_capacity, SocialLedger(i, n, cfg.sample, cfg.damping))
             for i in range(n)
         ]
-        self.messages = {m.id: m for m in messages_from_workload(cfg.workload, cfg.ttl)}
-        # per live message, the nodes whose buffer holds it (bit i: node i);
+        # messages by workload row; heap entries name a message by its row
+        self.rows = messages_from_workload(cfg.workload, cfg.ttl)
+        self.messages = {m.id: m for m in self.rows}
+        # per message row, the nodes whose buffer holds it (bit i: node i);
         # expiry visits only these. An int takes far less memory than a set.
-        self.holders: dict[str, int] = dict.fromkeys(self.messages, 0)
+        self.holders: list[int] = [0] * len(self.rows)
+        self._reads_ledger = cfg.router in LEDGER_ROUTERS
         self.log = EventLog()
         self.ongoing: dict[int, _OngoingContact] = {}
         self.ongoing_by_node: dict[int, set[int]] = {i: set() for i in range(n)}
@@ -295,11 +303,15 @@ class Simulation:
             )
         if cfg.ttl <= 0 or cfg.buffer_capacity <= 0:
             raise SimStartupError("ttl and buffer_capacity must be > 0")
+        if not math.isfinite(cfg.ttl):
+            raise SimStartupError(f"ttl must be finite, got {cfg.ttl}")
+        if cfg.epoch is not None and not math.isfinite(cfg.epoch):
+            raise SimStartupError(f"epoch must be finite, got {cfg.epoch}")
         if cfg.drop_policy not in DROP_POLICIES:
             raise SimStartupError(
                 f"unknown drop_policy {cfg.drop_policy!r} (valid: {', '.join(DROP_POLICIES)})"
             )
-        if cfg.bandwidth is not None and cfg.bandwidth <= 0:
+        if cfg.bandwidth is not None and not cfg.bandwidth > 0:
             raise SimStartupError("bandwidth must be > 0 or unlimited (None)")
         if cfg.k < 3:
             raise SimStartupError("k must be >= 3")
@@ -308,8 +320,21 @@ class Simulation:
         for knob in ("familiar_threshold", "centrality_window", "recompute_interval"):
             if getattr(cfg, knob) <= 0:
                 raise SimStartupError(f"{knob} must be > 0")
-        n = cfg.trace.node_count
+        trace = cfg.trace
+        for index, ev in enumerate(trace.events):
+            if not (math.isfinite(ev.start) and math.isfinite(ev.end)):
+                raise SimStartupError(
+                    f"contact {index}: times must be finite, got [{ev.start}, {ev.end}]"
+                )
+        if not math.isfinite(trace.duration):
+            raise SimStartupError(f"trace duration must be finite, got {trace.duration}")
+        n = trace.node_count
         for row, entry in enumerate(cfg.workload):
+            # also rejects an expiry that overflows to inf
+            if not math.isfinite(entry.created_at + cfg.ttl):
+                raise SimStartupError(
+                    f"workload row {row}: created_at {entry.created_at} gives no finite expiry"
+                )
             for end in (entry.source, entry.destination):
                 if not 0 <= end < n:
                     raise SimStartupError(
@@ -338,42 +363,44 @@ class Simulation:
 
     # -- event queue ------------------------------------------------------
 
-    def _push(self, time: float, pri: int, a: int, b: int, msg: str, extra: int = 0) -> None:
-        heapq.heappush(self._heap, (time, pri, a, b, msg, extra))
+    def _push(self, time: float, pri: int, a: int, b: int, row: int, extra: int = 0) -> None:
+        # `row` is the message's workload row (-1 for entries of no message),
+        # so simultaneous events break ties in row order at any message count
+        heapq.heappush(self._heap, (time, pri, a, b, row, extra))
 
     def _seed_events(self) -> None:
         cfg = self.cfg
         for idx, ev in enumerate(cfg.trace.events):
-            self._push(ev.start, _PRI_CONTACT_START, ev.node_a, ev.node_b, "", idx)
-            self._push(ev.end, _PRI_CONTACT_END, ev.node_a, ev.node_b, "", idx)
-        for m in self.messages.values():
-            self._push(m.created_at, _PRI_CREATE, m.source, m.destination, m.id)
+            self._push(ev.start, _PRI_CONTACT_START, ev.node_a, ev.node_b, -1, idx)
+            self._push(ev.end, _PRI_CONTACT_END, ev.node_a, ev.node_b, -1, idx)
+        for m in self.rows:
+            self._push(m.created_at, _PRI_CREATE, m.source, m.destination, m.row)
 
         horizon = max(
             [cfg.trace.duration]
-            + [m.expires_at for m in self.messages.values()]
+            + [m.expires_at for m in self.rows]
             + [self.epoch]
         )
         length = cfg.sample.sample_length
         n = 1
         while self.epoch + n * length <= horizon:
-            self._push(self.epoch + n * length, _PRI_ROLL, -1, -1, "", n)
+            self._push(self.epoch + n * length, _PRI_ROLL, -1, -1, -1, n)
             n += 1
         if cfg.router in ("dlifecomm", "bubblerap"):
             n = 1
             while self.epoch + n * cfg.recompute_interval <= horizon:
-                self._push(self.epoch + n * cfg.recompute_interval, _PRI_RECOMPUTE, -1, -1, "", n)
+                self._push(self.epoch + n * cfg.recompute_interval, _PRI_RECOMPUTE, -1, -1, -1, n)
                 n += 1
 
     def run(self) -> EventLog:
         self._seed_events()
         heap = self._heap
         while heap:
-            time, pri, a, b, msg, extra = heapq.heappop(heap)
+            time, pri, a, b, row, extra = heapq.heappop(heap)
             if pri == _PRI_EXPIRE:
-                self._on_expire(time, msg)
+                self._on_expire(time, row)
             elif pri == _PRI_TRANSFER:
-                self._on_transfer_complete(time, a, b, msg, extra)
+                self._on_transfer_complete(time, a, b, row, extra)
             elif pri == _PRI_CONTACT_END:
                 self._on_contact_end(time, extra)
             elif pri == _PRI_ROLL:
@@ -381,7 +408,7 @@ class Simulation:
             elif pri == _PRI_RECOMPUTE:
                 self._on_recompute(time)
             elif pri == _PRI_CREATE:
-                self._on_create(time, msg)
+                self._on_create(time, row)
             else:
                 self._on_contact_start(time, extra)
             self._drain_evals(time)
@@ -389,21 +416,23 @@ class Simulation:
 
     # -- handlers ----------------------------------------------------------
 
-    def _on_expire(self, time: float, msg_id: str) -> None:
+    def _on_expire(self, time: float, row: int) -> None:
         # In-flight transfers of the expired message abort at their completion
         # event; expiries are processed first among simultaneous events, so the
         # message can never move at or after this instant.
-        holders = self.holders.pop(msg_id)
+        msg_id = self.rows[row].id
+        holders = self.holders[row]
+        self.holders[row] = 0
         while holders:  # lowest set bit first: ascending node id
             node_id = (holders & -holders).bit_length() - 1
             holders &= holders - 1
             self.nodes[node_id].remove(msg_id)
             self.log.append(LogRecord(time, KIND_EXPIRED, msg_id, node_id))
 
-    def _on_transfer_complete(self, time: float, src: int, dst: int, msg_id: str, flags: int) -> None:
-        m = self.messages[msg_id]
+    def _on_transfer_complete(self, time: float, src: int, dst: int, row: int, flags: int) -> None:
+        m = self.rows[row]
         if m.expires_at <= time:
-            self.log.append(LogRecord(time, KIND_ABORTED, msg_id, src, dst))
+            self.log.append(LogRecord(time, KIND_ABORTED, m.id, src, dst))
             return
         self._receive(time, src, dst, m, delete_after=bool(flags))
 
@@ -420,16 +449,16 @@ class Simulation:
                 self._queue_evals(dst)
         if delete_after and self.nodes[src].holds(m.id):
             self.nodes[src].remove(m.id)
-            self.holders[m.id] &= ~(1 << src)
+            self.holders[m.row] &= ~(1 << src)
             self.log.append(LogRecord(time, KIND_DELETED_COMMUNITY, m.id, src))
 
     def _admit(self, time: float, node: NodeRuntime, m: Message) -> None:
         # every message fits an empty buffer (checked at startup), so it is admitted
         _, evicted = buffer_admit(node, m, self.cfg.drop_policy)
         for victim in evicted:
-            self.holders[victim.id] &= ~(1 << node.node_id)
+            self.holders[victim.row] &= ~(1 << node.node_id)
             self.log.append(LogRecord(time, KIND_DROPPED, victim.id, node.node_id))
-        self.holders[m.id] |= 1 << node.node_id
+        self.holders[m.row] |= 1 << node.node_id
 
     def _on_contact_end(self, time: float, index: int) -> None:
         oc = self.ongoing.pop(index)
@@ -465,13 +494,11 @@ class Simulation:
             epoch=self.epoch,
         )
 
-    def _on_create(self, time: float, msg_id: str) -> None:
-        m = self.messages[msg_id]
+    def _on_create(self, time: float, row: int) -> None:
+        m = self.rows[row]
         self._admit(time, self.nodes[m.source], m)
-        self.log.append(
-            LogRecord(time, KIND_CREATED, msg_id, m.source, m.destination, m.size)
-        )
-        self._push(m.expires_at, _PRI_EXPIRE, 0, 0, msg_id)
+        self.log.append(LogRecord(time, KIND_CREATED, m.id, m.source, m.destination, m.size))
+        self._push(m.expires_at, _PRI_EXPIRE, 0, 0, row)
         self._queue_evals(m.source)
 
     def _on_contact_start(self, time: float, index: int) -> None:
@@ -536,16 +563,24 @@ class Simulation:
         if not sender.buffer:
             return
         receiver = self.nodes[dst]
+        if self._reads_ledger:
+            sender_weights = sender.ledger.weights_to_all_neighbors()
+            sender_importance = sender.ledger.importance()
+            peer_weights = receiver.ledger.weights_to_all_neighbors()
+            peer_importance = receiver.ledger.importance()
+        else:
+            sender_weights = peer_weights = _NO_WEIGHTS
+            sender_importance = peer_importance = 0.0
         carrier = CarrierState(
             node_id=src,
             messages=sender.messages_by_creation(),
-            weights=sender.ledger.weights_to_all_neighbors(),
-            importance=sender.ledger.importance(),
+            weights=sender_weights,
+            importance=sender_importance,
         )
         peer = PeerSummary(
             node_id=dst,
-            weights=receiver.ledger.weights_to_all_neighbors(),
-            importance=receiver.ledger.importance(),
+            weights=peer_weights,
+            importance=peer_importance,
             buffered=_already_held(sender, receiver, oc.sent[(src, dst)]),
         )
         decision = decide(self.cfg.router, carrier, peer, self.communities, self.centralities)
@@ -570,7 +605,7 @@ class Simulation:
         for m, done in completed:
             sent.add(m.id)
             oc.busy_until = done
-            self._push(done, _PRI_TRANSFER, src, dst, m.id, int(m.id in delete_ids))
+            self._push(done, _PRI_TRANSFER, src, dst, m.row, int(m.id in delete_ids))
         for m in aborted:
             sent.add(m.id)  # the link is saturated for this contact; do not retry
             oc.aborts.append((src, dst, m.id))

@@ -16,6 +16,9 @@ from .socialgraph import CentralityTable, CommunityMap
 from .workload import Message
 
 ROUTER_NAMES = ("dlife", "dlifecomm", "bubblerap", "epidemic")
+# the routers that read `weights` and `importance` of CarrierState and
+# PeerSummary; the engine reads the ledgers only for these
+LEDGER_ROUTERS = ("dlife", "dlifecomm")
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ workload generation."""
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -84,8 +85,10 @@ def parse_workload(text: str | bytes) -> list[WorkloadEntry]:
             raise WorkloadFormatError(line_no, f"source equals destination ({entry.source})")
         if entry.size <= 0:
             raise WorkloadFormatError(line_no, f"size must be > 0, got {entry.size}")
-        if entry.created_at < 0:
-            raise WorkloadFormatError(line_no, f"created_at must be >= 0, got {entry.created_at}")
+        if not 0 <= entry.created_at < math.inf:  # also rejects nan
+            raise WorkloadFormatError(
+                line_no, f"created_at must be finite and >= 0, got {entry.created_at}"
+            )
         entries.append(entry)
     return entries
 

@@ -8,9 +8,11 @@ the implementation paths they check.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 from dtnsim.engine import (
+    EVENT_LOG_CSV_HEADER,
     KIND_ABORTED,
     KIND_CREATED,
     KIND_DELETED_COMMUNITY,
@@ -204,3 +206,35 @@ class MinScanBuffer:
 
     def messages_by_creation(self):
         return tuple(sorted(self.buffer.values(), key=lambda m: (m.created_at, m.id)))
+
+
+def record_json(r):
+    """Reference NDJSON line body of one log record: `json.dumps` of a dict."""
+    return json.dumps(
+        {
+            "time": r.time,
+            "kind": r.kind,
+            "msg": r.msg,
+            "node": r.node,
+            "peer": r.peer,
+            "size": r.size,
+        },
+        separators=(",", ":"),
+    )
+
+
+def record_csv_row(r):
+    """Reference CSV row of one log record."""
+    peer = "" if r.peer is None else str(r.peer)
+    size = "" if r.size is None else str(r.size)
+    return f"{r.time!r},{r.kind},{r.msg},{r.node},{peer},{size}"
+
+
+def event_log_ndjson(records):
+    return "".join(record_json(r) + "\n" for r in records)
+
+
+def event_log_csv(records):
+    lines = [EVENT_LOG_CSV_HEADER]
+    lines.extend(record_csv_row(r) for r in records)
+    return "\n".join(lines) + "\n"

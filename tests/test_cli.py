@@ -1,8 +1,10 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import dtnsim
 from dtnsim import parse_contact_trace, parse_workload
 from dtnsim.cli import EXIT_OK, EXIT_USAGE, main
 
@@ -151,8 +153,14 @@ def test_env_override_jobs(tmp_path, monkeypatch):
 
 
 def test_module_entry_point(tmp_path):
+    # the child imports the same dtnsim as this process, installed or not
+    src = str(Path(dtnsim.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-m", "dtnsim", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "dtnsim", "--help"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert "run" in result.stdout and "compare" in result.stdout

@@ -118,6 +118,18 @@ def test_parse_errors_carry_line_numbers():
         parse_contact_trace("1 2 3\n", "haggle")
 
 
+@pytest.mark.parametrize("fmt,record", [
+    ("csv", "1,2,100,inf"),
+    ("csv", "1,2,-inf,200"),
+    ("csv", "1,2,nan,200"),
+    ("haggle", "1 2 100 1e999"),
+])
+def test_parse_rejects_non_finite_times(fmt, record):
+    header = "a,b,start,end\n" if fmt == "csv" else ""
+    with pytest.raises(TraceFormatError, match="non-finite"):
+        parse_contact_trace(f"{header}{record}\n", fmt)
+
+
 def test_serialize_parse_round_trip_exact():
     rng = random.Random(3)
     events = []

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from dtnsim import (
@@ -104,6 +106,15 @@ def test_buffer_order_follows_workload_row_past_100k_messages():
         assert node.messages_by_creation() == (m99999, m100000)
         ok, evicted = buffer_admit(node, msgs[0], drop_policy)
         assert ok and evicted == [victim]
+
+
+def test_equal_time_creations_run_in_row_order_past_100k_messages():
+    # heap ties on the same instant, source and destination follow the row,
+    # not the id string, under which m100000 sorts before m99999
+    workload = entries(*[(0.0, 0, 1, 1000)] * 100_001)
+    log = run_simulation(simple_cfg(trace_of([], node_count=2), workload))
+    created = [r.msg for r in kinds(log, KIND_CREATED)]
+    assert created == [f"m{i:05d}" for i in range(100_001)]
 
 
 # -- link scheduling --------------------------------------------------------
@@ -246,6 +257,29 @@ def test_charging_summaries_delays_transfers():
     assert delivered[0].time == pytest.approx(1.128, rel=1e-12)
 
 
+@pytest.mark.parametrize("router,reads", [
+    ("epidemic", False), ("bubblerap", False), ("dlife", True), ("dlifecomm", True)
+])
+def test_ledger_reads_only_for_routers_that_use_them(monkeypatch, router, reads):
+    calls = []
+
+    def counted(name):
+        original = getattr(SocialLedger, name)
+
+        def wrapper(self, *args, **kwargs):
+            calls.append(name)
+            return original(self, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("weights_to_all_neighbors", "importance"):
+        monkeypatch.setattr(SocialLedger, name, counted(name))
+    trace = trace_of([(0, 1, 100.0, 200.0), (0, 2, 300.0, 400.0)])
+    log = run_simulation(simple_cfg(trace, entries((0.0, 0, 2, 1000)), router=router))
+    assert kinds(log, KIND_DELIVERED)  # decisions ran
+    assert sorted(set(calls)) == (["importance", "weights_to_all_neighbors"] if reads else [])
+
+
 def test_startup_validation():
     trace = trace_of([(0, 1, 0.0, 10.0)])
     with pytest.raises(SimStartupError, match="outside trace range"):
@@ -263,6 +297,26 @@ def test_startup_validation():
     day3 = trace_of([(0, 1, 3 * 86400.0, 3 * 86400 + 100.0)])
     with pytest.raises(SimStartupError, match="before epoch"):
         Simulation(simple_cfg(day3, entries((100.0, 0, 1, 1000))))
+
+
+@pytest.mark.parametrize("overrides,match", [
+    (dict(ttl=math.inf), "ttl must be finite"),
+    (dict(ttl=math.nan), "ttl must be finite"),
+    (dict(epoch=-math.inf), "epoch must be finite"),
+    (dict(bandwidth=math.nan), "bandwidth"),
+    (dict(workload=entries((math.inf, 0, 1, 1000))), "no finite expiry"),
+    (dict(workload=entries((math.nan, 0, 1, 1000))), "no finite expiry"),
+    (dict(workload=entries((1.7e308, 0, 1, 1000)), ttl=1.7e308), "no finite expiry"),
+    (dict(trace=trace_of([(0, 1, 0.0, math.inf)])), "contact 0: times must be finite"),
+    (dict(trace=trace_of([(0, 1, -math.inf, 10.0)])), "contact 0: times must be finite"),
+    (dict(trace=ContactTrace([ContactEvent(0, 1, 0.0, 10.0)], 2, math.inf)), "duration"),
+])
+def test_startup_rejects_non_finite_times(overrides, match):
+    # construction only: run() on such a config would never reach its horizon
+    params = dict(trace=trace_of([(0, 1, 0.0, 10.0)]), workload=entries((0.0, 0, 1, 1000)))
+    params.update(overrides)
+    with pytest.raises(SimStartupError, match=match):
+        Simulation(simple_cfg(**params))
 
 
 def test_epoch_auto_floors_to_day_boundary():

@@ -30,6 +30,15 @@ def test_parse_errors():
         parse_workload("created_at,source,destination,size_bytes\n1.0,2,3,0\n")
 
 
+@pytest.mark.parametrize("created_at", ["inf", "nan", "-inf", "1e999"])
+def test_parse_rejects_non_finite_created_at(created_at):
+    with pytest.raises(WorkloadFormatError, match="finite") as err:
+        parse_workload(
+            f"created_at,source,destination,size_bytes\n1.0,0,1,100\n{created_at},0,1,100\n"
+        )
+    assert err.value.line_no == 3
+
+
 def test_generate_workload_contract():
     entries = generate_workload(200, 30, (0.0, 86400.0), seed=7)
     assert len(entries) == 200
