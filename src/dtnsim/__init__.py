@@ -59,6 +59,7 @@ from .socialgraph import (
     CentralityTable,
     CommunityMap,
     FamiliarGraph,
+    WindowMeetings,
     build_familiar_graph,
     centrality_csv,
     communities_json,

@@ -23,6 +23,7 @@ from .contacts import (
 )
 from .ledger import SocialLedger
 from .routing import (
+    COMMUNITY_ROUTERS,
     LEDGER_ROUTERS,
     ROUTER_NAMES,
     CarrierState,
@@ -33,8 +34,8 @@ from .routing import (
 from .socialgraph import (
     CentralityTable,
     CommunityMap,
+    WindowMeetings,
     build_familiar_graph,
-    cumulative_window_centrality,
     k_clique_communities,
 )
 from .workload import Message, WorkloadEntry, messages_from_workload
@@ -289,8 +290,17 @@ class Simulation:
         self.ongoing_by_node: dict[int, set[int]] = {i: set() for i in range(n)}
         self.communities = CommunityMap.empty()
         self.centralities = CentralityTable.empty(cfg.centrality_window)
+        # the contact history that the community recompute reads, kept (as
+        # contacts end) only for the routers that recompute
         self.pair_seconds: dict[tuple[int, int], float] = {}
-        self.completed_contacts: list[ContactEvent] = []
+        self.meetings = (
+            WindowMeetings(cfg.centrality_window, self.epoch)
+            if cfg.router in COMMUNITY_ROUTERS
+            else None
+        )
+        self.horizon = max(
+            [cfg.trace.duration] + [m.expires_at for m in self.rows] + [self.epoch]
+        )
         self._heap: list[tuple] = []
         self._evals: deque[tuple[int, int, int]] = deque()  # (contact index, src, dst)
         self._evals_pending: set[tuple[int, int, int]] = set()
@@ -375,22 +385,18 @@ class Simulation:
             self._push(ev.end, _PRI_CONTACT_END, ev.node_a, ev.node_b, -1, idx)
         for m in self.rows:
             self._push(m.created_at, _PRI_CREATE, m.source, m.destination, m.row)
+        self._push_boundary(_PRI_ROLL, 1)
+        if self.meetings is not None:
+            self._push_boundary(_PRI_RECOMPUTE, 1)
 
-        horizon = max(
-            [cfg.trace.duration]
-            + [m.expires_at for m in self.rows]
-            + [self.epoch]
-        )
-        length = cfg.sample.sample_length
-        n = 1
-        while self.epoch + n * length <= horizon:
-            self._push(self.epoch + n * length, _PRI_ROLL, -1, -1, -1, n)
-            n += 1
-        if cfg.router in ("dlifecomm", "bubblerap"):
-            n = 1
-            while self.epoch + n * cfg.recompute_interval <= horizon:
-                self._push(self.epoch + n * cfg.recompute_interval, _PRI_RECOMPUTE, -1, -1, -1, n)
-                n += 1
+    def _push_boundary(self, pri: int, n: int) -> None:
+        # The n-th roll or recompute, if it falls within the horizon. Each
+        # handler pushes its successor, so the heap holds one of each at a
+        # time, however far the horizon lies.
+        cfg = self.cfg
+        length = cfg.sample.sample_length if pri == _PRI_ROLL else cfg.recompute_interval
+        if self.epoch + n * length <= self.horizon:
+            self._push(self.epoch + n * length, pri, -1, -1, -1, n)
 
     def run(self) -> EventLog:
         self._seed_events()
@@ -406,7 +412,7 @@ class Simulation:
             elif pri == _PRI_ROLL:
                 self._on_roll(extra)
             elif pri == _PRI_RECOMPUTE:
-                self._on_recompute(time)
+                self._on_recompute(time, extra)
             elif pri == _PRI_CREATE:
                 self._on_create(time, row)
             else:
@@ -471,10 +477,12 @@ class Simulation:
         for slot, duration in split_contact_by_samples(rebased, self.cfg.sample):
             self.nodes[ev.node_a].ledger.record_contact_fragment(ev.node_b, slot, duration)
             self.nodes[ev.node_b].ledger.record_contact_fragment(ev.node_a, slot, duration)
-        self.pair_seconds[ev.pair] = self.pair_seconds.get(ev.pair, 0.0) + ev.duration
-        self.completed_contacts.append(ev)
+        if self.meetings is not None:
+            self.pair_seconds[ev.pair] = self.pair_seconds.get(ev.pair, 0.0) + ev.duration
+            self.meetings.add(ev)
 
     def _on_roll(self, boundary_index: int) -> None:
+        self._push_boundary(_PRI_ROLL, boundary_index + 1)
         finished = slot_from_linear(boundary_index - 1, self.cfg.sample)
         for node in self.nodes:
             node.ledger.roll_sample(finished)
@@ -483,16 +491,13 @@ class Simulation:
             self.nodes[ev.node_a].ledger.mark_peer_seen(ev.node_b)
             self.nodes[ev.node_b].ledger.mark_peer_seen(ev.node_a)
 
-    def _on_recompute(self, time: float) -> None:
+    def _on_recompute(self, time: float, n: int) -> None:
+        # contact ends sort before a recompute at the same instant, so the
+        # history holds exactly the contacts ended by `time`
+        self._push_boundary(_PRI_RECOMPUTE, n + 1)
         graph = build_familiar_graph(self.pair_seconds, self.cfg.familiar_threshold)
         self.communities = k_clique_communities(graph, self.cfg.k)
-        self.centralities = cumulative_window_centrality(
-            self.completed_contacts,
-            self.cfg.centrality_window,
-            self.communities,
-            now=time,
-            epoch=self.epoch,
-        )
+        self.centralities = self.meetings.centrality(self.communities, time)
 
     def _on_create(self, time: float, row: int) -> None:
         m = self.rows[row]

@@ -264,9 +264,18 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else repr(float(value))
 
 
+def _cell_tasks(cfg: ExperimentConfig, dump_ledgers: bool):
+    """Every plan cell as a `_run_cell` task, seed by seed; each seed's
+    scenario is materialized once and shared by all of its cells."""
+    for seed in cfg.seeds:
+        scenario = materialize_scenario(cfg, seed)
+        for router in cfg.routers:
+            for ttl in cfg.ttls:
+                yield cfg, router, ttl, seed, scenario, dump_ledgers
+
+
 def _run_cell(args) -> tuple[str, float, int, RunMetrics]:
-    cfg, router, ttl, seed, dump_ledgers = args
-    trace, workload = materialize_scenario(cfg, seed)
+    cfg, router, ttl, seed, (trace, workload), dump_ledgers = args
     sim_cfg = sim_config_for_cell(cfg, router, ttl, seed, trace, workload)
     from .engine import Simulation  # local import keeps worker pickling light
 
@@ -293,7 +302,9 @@ def run_experiment(
     """Run every plan cell, write per-run logs plus the results and aggregate
     CSVs, and return their paths."""
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [(cfg, r, t, s, dump_ledgers) for r, t, s in cfg.cells]
+    # a generator: serially, only one seed's scenario is alive at a time;
+    # the pool receives each scenario pickled with its cells
+    tasks = _cell_tasks(cfg, dump_ledgers)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_run_cell, tasks))

@@ -19,6 +19,9 @@ ROUTER_NAMES = ("dlife", "dlifecomm", "bubblerap", "epidemic")
 # the routers that read `weights` and `importance` of CarrierState and
 # PeerSummary; the engine reads the ledgers only for these
 LEDGER_ROUTERS = ("dlife", "dlifecomm")
+# the routers that read communities and centralities; the engine keeps the
+# contact history and recomputes both only for these
+COMMUNITY_ROUTERS = ("dlifecomm", "bubblerap")
 
 
 @dataclass(frozen=True)

@@ -140,6 +140,67 @@ class CentralityTable:
         return cls({}, {}, window, 0)
 
 
+class WindowMeetings:
+    """The peers each node met in each centrality window, kept as contacts end.
+
+    Windows are `window` seconds long and counted from `epoch`. A contact
+    counts its peer in every window it overlaps; its end is exclusive, and
+    the part before `epoch` counts in none. Node ids are a trace's dense
+    0-based ids.
+    """
+
+    def __init__(self, window: float, epoch: float = 0.0):
+        if window <= 0:
+            raise ValueError("window must be > 0")
+        self.window = window
+        self.epoch = epoch
+        # (node, window index) -> the peers met, bit i for node i; an int
+        # takes far less memory than a set, and the history lives all run
+        self.met: dict[tuple[int, int], int] = {}
+
+    def add(self, ev: ContactEvent) -> None:
+        epoch, window, met = self.epoch, self.window, self.met
+        a, b = ev.node_a, ev.node_b
+        first = int((ev.start - epoch) // window)
+        last = int((ev.end - epoch) // window)
+        if (ev.end - epoch) % window == 0:  # end is exclusive
+            last -= 1
+        for w in range(max(first, 0), last + 1):
+            met[a, w] = met.get((a, w), 0) | (1 << b)
+            met[b, w] = met.get((b, w), 0) | (1 << a)
+
+    def centrality(self, communities: CommunityMap, now: float) -> CentralityTable:
+        """Average the number of unique nodes met per window over the windows
+        that start before `now` (at least one); later windows count for
+        nothing.
+
+        Local centrality counts only peers sharing the given community,
+        computed for every (member node, community) pair.
+        """
+        elapsed = now - self.epoch
+        num_windows = max(1, math.ceil(elapsed / self.window)) if elapsed > 0 else 1
+
+        member_masks = [sum(1 << n for n in c) for c in communities.communities]
+        global_sum: dict[int, int] = {}
+        local_sum: dict[tuple[int, int], int] = {}
+        for (node, w), peers in self.met.items():
+            if w >= num_windows:
+                continue
+            global_sum[node] = global_sum.get(node, 0) + peers.bit_count()
+            for cidx in communities.communities_of(node):
+                n_local = (peers & member_masks[cidx]).bit_count()
+                if n_local:
+                    key = (node, cidx)
+                    local_sum[key] = local_sum.get(key, 0) + n_local
+
+        return CentralityTable(
+            global_centrality={n: s / num_windows for n, s in global_sum.items()},
+            local_centrality={k: s / num_windows for k, s in local_sum.items()},
+            window=self.window,
+            num_windows=num_windows,
+        )
+
+
 def cumulative_window_centrality(
     contacts: Iterable[ContactEvent],
     window: float,
@@ -148,45 +209,11 @@ def cumulative_window_centrality(
     now: float,
     epoch: float = 0.0,
 ) -> CentralityTable:
-    """Average the number of unique nodes met per window over all elapsed windows.
-
-    A contact overlapping several windows counts its peer in each of them.
-    Local centrality counts only peers sharing the given community, computed
-    for every (member node, community) pair.
-    """
-    if window <= 0:
-        raise ValueError("window must be > 0")
-    elapsed = now - epoch
-    num_windows = max(1, math.ceil(elapsed / window)) if elapsed > 0 else 1
-
-    met: dict[tuple[int, int], set[int]] = {}  # (node, window index) -> peers
+    """`WindowMeetings.centrality` over the given contacts, all at once."""
+    meetings = WindowMeetings(window, epoch)
     for ev in contacts:
-        first = int((ev.start - epoch) // window)
-        last = int((ev.end - epoch) // window)
-        if (ev.end - epoch) % window == 0:  # end is exclusive
-            last -= 1
-        last = min(last, num_windows - 1)
-        for w in range(max(first, 0), last + 1):
-            met.setdefault((ev.node_a, w), set()).add(ev.node_b)
-            met.setdefault((ev.node_b, w), set()).add(ev.node_a)
-
-    global_sum: dict[int, int] = {}
-    local_sum: dict[tuple[int, int], int] = {}
-    for (node, _w), peers in met.items():
-        global_sum[node] = global_sum.get(node, 0) + len(peers)
-        for cidx in communities.communities_of(node):
-            members = communities.communities[cidx]
-            n_local = len(peers & members)
-            if n_local:
-                key = (node, cidx)
-                local_sum[key] = local_sum.get(key, 0) + n_local
-
-    return CentralityTable(
-        global_centrality={n: s / num_windows for n, s in global_sum.items()},
-        local_centrality={k: s / num_windows for k, s in local_sum.items()},
-        window=window,
-        num_windows=num_windows,
-    )
+        meetings.add(ev)
+    return meetings.centrality(communities, now)
 
 
 def communities_json(communities: CommunityMap) -> str:

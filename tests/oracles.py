@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 
+from dtnsim import CentralityTable
 from dtnsim.engine import (
     EVENT_LOG_CSV_HEADER,
     KIND_ABORTED,
@@ -73,6 +74,45 @@ def clique_percolation_bruteforce(adjacency, k):
                     frontier.append(other)
         communities.append(frozenset(itertools.chain.from_iterable(kcliques[g] for g in group)))
     return set(communities)
+
+
+def rescan_window_centrality(contacts, window, communities, *, now, epoch=0.0):
+    """Reference centrality table: rescan every contact given, clipping each
+    to the windows elapsed by `now` (the engine's former path, which ran at
+    every recompute over the whole contact history)."""
+    if window <= 0:
+        raise ValueError("window must be > 0")
+    elapsed = now - epoch
+    num_windows = max(1, math.ceil(elapsed / window)) if elapsed > 0 else 1
+
+    met = {}  # (node, window index) -> peers
+    for ev in contacts:
+        first = int((ev.start - epoch) // window)
+        last = int((ev.end - epoch) // window)
+        if (ev.end - epoch) % window == 0:  # end is exclusive
+            last -= 1
+        last = min(last, num_windows - 1)
+        for w in range(max(first, 0), last + 1):
+            met.setdefault((ev.node_a, w), set()).add(ev.node_b)
+            met.setdefault((ev.node_b, w), set()).add(ev.node_a)
+
+    global_sum = {}
+    local_sum = {}
+    for (node, _w), peers in met.items():
+        global_sum[node] = global_sum.get(node, 0) + len(peers)
+        for cidx in communities.communities_of(node):
+            members = communities.communities[cidx]
+            n_local = len(peers & members)
+            if n_local:
+                key = (node, cidx)
+                local_sum[key] = local_sum.get(key, 0) + n_local
+
+    return CentralityTable(
+        global_centrality={n: s / num_windows for n, s in global_sum.items()},
+        local_centrality={k: s / num_windows for k, s in local_sum.items()},
+        window=window,
+        num_windows=num_windows,
+    )
 
 
 def earliest_delivery(events, source, destination, created_at, ttl):

@@ -28,8 +28,8 @@ from dtnsim.engine import (
 )
 from dtnsim.workload import WorkloadEntry
 
-from oracles import earliest_delivery, replay_log
-from scenarios import DAY, desk_scenario, desk_sim_config
+from oracles import earliest_delivery, replay_log, rescan_window_centrality
+from scenarios import DAY, GOLDEN_CAPACITY, desk_scenario, desk_sim_config, golden_scenario
 
 
 def trace_of(events, node_count=None):
@@ -353,6 +353,48 @@ def test_dlifecomm_community_deletion_run():
     deleted = kinds(log, KIND_DELETED_COMMUNITY)
     assert [(r.node, r.time) for r in deleted] == [(0, 90000.0)]
     assert [r.time for r in kinds(log, KIND_DELIVERED)] == [91000.0]
+
+
+def test_rolls_and_recomputes_are_pushed_one_at_a_time():
+    # one message expiring about 11 years after the only contact: the heap
+    # holds the contact, the creation, one roll and one recompute, not one
+    # roll per hourly sample up to the expiry
+    trace = trace_of([(0, 1, 100.0, 200.0)])
+    sim = Simulation(simple_cfg(trace, entries((3.6e8, 0, 1, 500)), router="bubblerap"))
+    sim._seed_events()
+    assert len(sim._heap) <= 2 * 1 + 1 + 2
+
+
+def test_chained_rolls_reach_the_horizon():
+    # the horizon is the expiry, 3.6e4 s + 1 day = 122,400 s: 34 hourly rolls
+    trace = trace_of([(0, 1, 100.0, 200.0)])
+    sim = Simulation(simple_cfg(trace, entries((3.6e4, 0, 1, 500)), router="bubblerap"))
+    sim.run()
+    assert [node.ledger._clock for node in sim.nodes] == [34, 34]
+
+
+def test_bubblerap_centralities_match_rescan_of_ended_contacts():
+    trace, workload = golden_scenario()
+    sim = Simulation(
+        desk_sim_config(trace, workload, "bubblerap", DAY, 5, buffer_capacity=GOLDEN_CAPACITY)
+    )
+    times = []
+    recompute = sim._on_recompute
+
+    def record(time, n):
+        times.append(time)
+        recompute(time, n)
+
+    sim._on_recompute = record
+    sim.run()
+    interval = sim.cfg.recompute_interval
+    assert times == [sim.epoch + n * interval for n in range(1, len(times) + 1)]
+    assert times[-1] + interval > sim.horizon
+    ended = [ev for ev in trace.events if ev.end <= times[-1]]
+    assert sim.centralities == rescan_window_centrality(
+        ended, sim.cfg.centrality_window, sim.communities, now=times[-1], epoch=sim.epoch
+    )
+    assert sim.centralities.num_windows > 1 and sim.communities.communities
 
 
 def test_buffer_pressure_drops_are_logged():

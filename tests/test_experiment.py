@@ -127,6 +127,26 @@ def test_run_experiment_parallel_matches_serial(tmp_path):
     assert aa.read_text() == ab.read_text()
 
 
+def test_run_experiment_materializes_each_seed_once(tmp_path, monkeypatch):
+    from dtnsim import experiment
+
+    calls = []
+    materialize = experiment.materialize_scenario
+
+    def counting(cfg, seed):
+        calls.append(seed)
+        return materialize(cfg, seed)
+
+    monkeypatch.setattr(experiment, "materialize_scenario", counting)
+    raw = base_config()
+    raw["routers"] = ["epidemic", "dlife"]
+    raw["ttls"] = [43200, 86400]
+    cfg = load_experiment_config(raw, tmp_path)
+    results_path, _ = run_experiment(cfg, jobs=1)
+    assert calls == [1, 2]
+    assert len(parse_results_csv(results_path.read_text())) == 2 * 2 * 2
+
+
 def rows_for(router, deliveries, costs=None, ttl=86400.0):
     costs = costs or [10.0] * len(deliveries)
     return [

@@ -2,17 +2,20 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from dtnsim import (
     CentralityTable,
     CommunityMap,
     ContactEvent,
+    WindowMeetings,
     build_familiar_graph,
     cumulative_window_centrality,
     k_clique_communities,
 )
 
-from oracles import clique_percolation_bruteforce
+from oracles import clique_percolation_bruteforce, rescan_window_centrality
 
 
 def _graph_from_edges(edges):
@@ -155,6 +158,67 @@ def test_centrality_invariant_under_relabeling():
     t2 = cumulative_window_centrality(mapped, 6000.0, CommunityMap.empty(), now=60000.0)
     for node in range(8):
         assert t1.global_of(node) == pytest.approx(t2.global_of(perm[node]))
+
+
+@st.composite
+def window_history(draw):
+    """A window, an epoch, contacts, communities over six nodes and ascending
+    `now` instants. Instants fall on quarter windows from the epoch (window
+    boundaries included) or anywhere between; contacts may start before the
+    epoch and span several windows."""
+    window = draw(st.sampled_from([100.0, 3600.0, 7.5, 0.1]))
+    epoch = draw(st.sampled_from([0.0, 250.0, 86400.0, 1234.5]))
+
+    def instant(lo, hi):  # in quarter windows from the epoch
+        return st.one_of(
+            st.integers(lo, hi).map(lambda q: epoch + q * (window / 4)),
+            st.floats(epoch + lo * (window / 4), epoch + hi * (window / 4)),
+        )
+
+    contacts = draw(st.lists(
+        st.builds(
+            lambda pair, times: ContactEvent(*pair, *sorted(times)),
+            st.lists(st.integers(0, 5), min_size=2, max_size=2, unique=True),
+            st.lists(instant(-4, 40), min_size=2, max_size=2, unique=True),
+        ),
+        max_size=25,
+    ))
+    communities = CommunityMap(tuple(draw(st.lists(
+        st.frozensets(st.integers(0, 5), min_size=1), max_size=3
+    ))))
+    nows = sorted(draw(st.lists(instant(-2, 44), min_size=1, max_size=6)))
+    return window, epoch, contacts, communities, nows
+
+
+@given(history=window_history())
+@example(history=(
+    3600.0,
+    250.0,
+    [
+        ContactEvent(0, 1, 250.0, 3850.0),  # ends on a window boundary
+        ContactEvent(1, 2, 1000.0, 12000.0),  # spans four windows
+        ContactEvent(0, 2, 3850.0, 30000.0),  # ends after every `now`
+    ],
+    CommunityMap((frozenset({0, 1}),)),
+    [3850.0, 5000.0, 12000.0],
+))
+def test_window_meetings_match_rescan(history):
+    window, epoch, contacts, communities, nows = history
+    ended = sorted(contacts, key=lambda ev: ev.end)
+    meetings = WindowMeetings(window, epoch)
+    done = 0
+    for now in nows:
+        while done < len(ended) and ended[done].end <= now:
+            meetings.add(ended[done])
+            done += 1
+        expected = rescan_window_centrality(
+            ended[:done], window, communities, now=now, epoch=epoch
+        )
+        assert meetings.centrality(communities, now) == expected
+        # the batch form also takes contacts that end after `now`
+        assert cumulative_window_centrality(
+            contacts, window, communities, now=now, epoch=epoch
+        ) == rescan_window_centrality(contacts, window, communities, now=now, epoch=epoch)
 
 
 def test_empty_community_map():
