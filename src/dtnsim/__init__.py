@@ -39,10 +39,7 @@ from .metrics import (
     MetricsError,
     RunMetrics,
     aggregate_runs,
-    average_cost,
-    average_latency,
     compute_run_metrics,
-    delivery_probability,
 )
 from .routing import (
     CarrierState,
@@ -58,7 +55,6 @@ from .routing import (
 from .socialgraph import (
     CentralityTable,
     CommunityMap,
-    FamiliarGraph,
     WindowMeetings,
     build_familiar_graph,
     centrality_csv,

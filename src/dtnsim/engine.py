@@ -74,7 +74,14 @@ _ORDER_KEY = attrgetter("order_key")
 
 
 class SimStartupError(ValueError):
-    """Configuration inconsistency detected before the run starts."""
+    """Configuration inconsistency detected before the run starts. `field`
+    names the `SimConfig` field at fault and `reason` says what is wrong with
+    it; `field` is None for a check that needs the trace or the workload."""
+
+    def __init__(self, reason: str, field: str | None = None):
+        super().__init__(reason if field is None else f"{field} {reason}")
+        self.field = field
+        self.reason = reason
 
 
 class LogRecord(NamedTuple):
@@ -124,10 +131,14 @@ class EventLog:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Everything one run needs; the engine itself draws no randomness."""
+    """Everything one run needs; the engine itself draws no randomness.
 
-    trace: ContactTrace
-    workload: tuple[WorkloadEntry, ...]
+    Building one checks every setting that does not need the trace or the
+    workload, so a config that exists is valid up to its inputs (those are
+    checked when a `Simulation` is built)."""
+
+    trace: ContactTrace = field(default_factory=lambda: ContactTrace([], 0, 0.0))
+    workload: tuple[WorkloadEntry, ...] = ()
     router: str = "epidemic"
     sample: SampleConfig = field(default_factory=SampleConfig)
     ttl: float = 86400.0
@@ -142,6 +153,34 @@ class SimConfig:
     drop_policy: str = "oldest_first"
     charge_summaries: bool = False
     seed: int | None = None  # provenance only
+
+    def __post_init__(self):
+        # each test is written as `not <valid>`, so that NaN fails it
+        if self.router not in ROUTER_NAMES:
+            raise SimStartupError(
+                f"{self.router!r} is unknown (valid: {', '.join(ROUTER_NAMES)})", "router"
+            )
+        for name in ("ttl", "familiar_threshold", "centrality_window", "recompute_interval"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise SimStartupError(f"must be finite and > 0, got {value}", name)
+        if not self.buffer_capacity > 0:
+            raise SimStartupError(f"must be > 0, got {self.buffer_capacity}", "buffer_capacity")
+        if self.bandwidth is not None and not self.bandwidth > 0:
+            raise SimStartupError(
+                f"must be > 0 or None for unlimited, got {self.bandwidth}", "bandwidth"
+            )
+        if not self.k >= 3:
+            raise SimStartupError(f"must be >= 3, got {self.k}", "k")
+        if not 0.0 <= self.damping <= 1.0:
+            raise SimStartupError(f"must be in [0, 1], got {self.damping}", "damping")
+        if self.epoch is not None and not math.isfinite(self.epoch):
+            raise SimStartupError(f"must be finite or None, got {self.epoch}", "epoch")
+        if self.drop_policy not in DROP_POLICIES:
+            raise SimStartupError(
+                f"{self.drop_policy!r} is unknown (valid: {', '.join(DROP_POLICIES)})",
+                "drop_policy",
+            )
 
 
 class NodeRuntime:
@@ -306,30 +345,9 @@ class Simulation:
         self._evals_pending: set[tuple[int, int, int]] = set()
 
     def _validate(self) -> None:
+        # the settings were checked when the SimConfig was built; these
+        # checks need the trace or the workload
         cfg = self.cfg
-        if cfg.router not in ROUTER_NAMES:
-            raise SimStartupError(
-                f"unknown router {cfg.router!r} (valid: {', '.join(ROUTER_NAMES)})"
-            )
-        if cfg.ttl <= 0 or cfg.buffer_capacity <= 0:
-            raise SimStartupError("ttl and buffer_capacity must be > 0")
-        if not math.isfinite(cfg.ttl):
-            raise SimStartupError(f"ttl must be finite, got {cfg.ttl}")
-        if cfg.epoch is not None and not math.isfinite(cfg.epoch):
-            raise SimStartupError(f"epoch must be finite, got {cfg.epoch}")
-        if cfg.drop_policy not in DROP_POLICIES:
-            raise SimStartupError(
-                f"unknown drop_policy {cfg.drop_policy!r} (valid: {', '.join(DROP_POLICIES)})"
-            )
-        if cfg.bandwidth is not None and not cfg.bandwidth > 0:
-            raise SimStartupError("bandwidth must be > 0 or unlimited (None)")
-        if cfg.k < 3:
-            raise SimStartupError("k must be >= 3")
-        if not 0.0 <= cfg.damping <= 1.0:
-            raise SimStartupError("damping must be in [0, 1]")
-        for knob in ("familiar_threshold", "centrality_window", "recompute_interval"):
-            if getattr(cfg, knob) <= 0:
-                raise SimStartupError(f"{knob} must be > 0")
         trace = cfg.trace
         for index, ev in enumerate(trace.events):
             if not (math.isfinite(ev.start) and math.isfinite(ev.end)):

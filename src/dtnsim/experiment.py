@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -16,7 +16,7 @@ from .contacts import (
     generate_routine_trace,
     load_contact_trace,
 )
-from .engine import DROP_POLICIES, SimConfig
+from .engine import SimConfig, SimStartupError
 from .ledger import dump_ledgers_csv
 from .metrics import RunMetrics, aggregate_runs, compute_run_metrics, summarize
 from .routing import ROUTER_NAMES
@@ -40,7 +40,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One scenario swept over routers x TTLs x seeds."""
+    """One scenario swept over routers x TTLs x seeds. `sim` is the template
+    of every cell's `SimConfig`: each cell fills in its trace, workload,
+    router, TTL and seed."""
 
     routers: tuple[str, ...]
     ttls: tuple[float, ...]
@@ -50,22 +52,17 @@ class ExperimentConfig:
     routine: RoutineSpec | None
     workload_path: Path | None
     workload_gen: dict | None
-    sample: SampleConfig
-    buffer_capacity: int
-    bandwidth: float | None
-    damping: float
-    k: int
-    familiar_threshold: float
-    centrality_window: float
-    recompute_interval: float
-    epoch: float | None
-    drop_policy: str
-    charge_summaries: bool
+    sim: SimConfig
     out_dir: Path
 
     @property
     def cells(self) -> list[tuple[str, float, int]]:
         return [(r, t, s) for r in self.routers for t in self.ttls for s in self.seeds]
+
+    @property
+    def buffer_capacity(self) -> int:
+        # read by the benchmark's output checks (bench/checks.py, check_plan)
+        return self.sim.buffer_capacity
 
 
 def _require(d: Mapping, key: str, path: str):
@@ -79,36 +76,107 @@ DEFAULT_TTLS = (86400.0, 172800.0, 345600.0, 604800.0, 1814400.0)
 DEFAULT_SEEDS = tuple(range(1, 11))
 
 
+# Readers of JSON values: each returns the type the engine takes or names
+# the key it rejects. A JSON boolean is an int to Python, so it is excluded.
+
+
+def _number(key: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(key, f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond any float
+        raise ConfigError(key, f"out of range: {value}") from None
+
+
+def _optional_number(key: str, value) -> float | None:
+    return None if value is None else _number(key, value)
+
+
+def _integer(key: str, value) -> int:
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(key, f"expected an integer, got {value!r}")
+    return value
+
+
+def _boolean(key: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(key, f"expected true or false, got {value!r}")
+    return value
+
+
+def _string(key: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(key, f"expected a string, got {value!r}")
+    return value
+
+
+# keys named after a SimConfig field, and how each value is read; the
+# SimConfig checks the value itself
+_SETTINGS = {
+    "buffer_capacity": _integer,
+    "bandwidth": _optional_number,
+    "damping": _number,
+    "k": _integer,
+    "familiar_threshold": _number,
+    "centrality_window": _number,
+    "recompute_interval": _number,
+    "epoch": _optional_number,
+    "drop_policy": _string,
+    "charge_summaries": _boolean,
+}
+_SAMPLE_KEYS = ("samples_per_day", "seconds_per_day")  # SampleConfig's fields
+_PLAN_KEYS = ("routers", "ttls", "seeds", "trace", "trace_format", "workload", "out")
+
+
+def _sweep(raw: Mapping, key: str, default: tuple, read) -> tuple:
+    values = raw.get(key, default)
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(key, f"expected a list, got {values!r}")
+    values = tuple(read(f"{key}[{i}]", v) for i, v in enumerate(values))
+    if not values:
+        raise ConfigError(key, "need at least one value")
+    if len(set(values)) != len(values):
+        raise ConfigError(key, "values must be distinct")
+    return values
+
+
 def load_experiment_config(raw: Mapping, base_dir: Path | str = ".") -> ExperimentConfig:
     base = Path(base_dir)
 
-    routers = tuple(raw.get("routers", ROUTER_NAMES))
-    if not routers:
-        raise ConfigError("routers", "need at least one router")
-    for i, r in enumerate(routers):
-        if r not in ROUTER_NAMES:
-            raise ConfigError(f"routers[{i}]", f"unknown router {r!r} (valid: {', '.join(ROUTER_NAMES)})")
+    unknown = sorted(set(raw) - set(_PLAN_KEYS) - set(_SAMPLE_KEYS) - set(_SETTINGS))
+    if unknown:
+        raise ConfigError(unknown[0], "unknown key")
 
-    ttls = tuple(float(t) for t in raw.get("ttls", DEFAULT_TTLS))
-    if not ttls or any(t <= 0 for t in ttls):
-        raise ConfigError("ttls", "need at least one positive TTL")
-
-    seeds = tuple(int(s) for s in raw.get("seeds", DEFAULT_SEEDS))
-    if not seeds:
-        raise ConfigError("seeds", "need at least one seed")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError("seeds", "seeds must be distinct")
-
+    grid = {key: _integer(key, raw[key]) for key in _SAMPLE_KEYS if key in raw}
     try:
-        sample = SampleConfig(
-            int(raw.get("samples_per_day", 24)), int(raw.get("seconds_per_day", 86400))
-        )
+        sample = SampleConfig(**grid)
     except ValueError as exc:
         raise ConfigError("samples_per_day", str(exc)) from None
+    try:
+        sim = SimConfig(
+            sample=sample,
+            **{key: read(key, raw[key]) for key, read in _SETTINGS.items() if key in raw},
+        )
+    except SimStartupError as exc:
+        raise ConfigError(exc.field, exc.reason) from None
+
+    routers = _sweep(raw, "routers", ROUTER_NAMES, _string)
+    ttls = _sweep(raw, "ttls", DEFAULT_TTLS, _number)
+    seeds = _sweep(raw, "seeds", DEFAULT_SEEDS, _integer)
+    # each router and TTL of the sweep passes the engine's own check
+    for key, name, values in (("routers", "router", routers), ("ttls", "ttl", ttls)):
+        for i, value in enumerate(values):
+            try:
+                replace(sim, **{name: value})
+            except SimStartupError as exc:
+                raise ConfigError(f"{key}[{i}]", exc.reason) from None
 
     trace = _require(raw, "trace", "")
     trace_path = routine = None
-    trace_format = str(raw.get("trace_format", "csv"))
+    trace_format = _string("trace_format", raw.get("trace_format", "csv"))
     if isinstance(trace, str):
         trace_path = base / trace
         if not trace_path.exists():
@@ -131,7 +199,7 @@ def load_experiment_config(raw: Mapping, base_dir: Path | str = ".") -> Experime
             raise ConfigError("workload", f"file not found: {workload_path}")
     elif isinstance(workload, Mapping) and "count" in workload:
         gen = dict(workload)
-        if int(gen["count"]) <= 0:
+        if _integer("workload.count", gen["count"]) <= 0:
             raise ConfigError("workload.count", "must be > 0")
         if "window" not in gen:
             raise ConfigError("workload.window", "missing required field")
@@ -139,30 +207,6 @@ def load_experiment_config(raw: Mapping, base_dir: Path | str = ".") -> Experime
     else:
         raise ConfigError("workload", "expected a file path or {'count': ..., 'window': [lo, hi]}")
 
-    bandwidth = raw.get("bandwidth")
-    if bandwidth is not None:
-        bandwidth = float(bandwidth)
-        if bandwidth <= 0:
-            raise ConfigError("bandwidth", "must be > 0 or null for unlimited")
-
-    def positive(key: str, default: float) -> float:
-        value = float(raw.get(key, default))
-        if value <= 0:
-            raise ConfigError(key, "must be > 0")
-        return value
-
-    damping = float(raw.get("damping", 0.8))
-    if not 0.0 <= damping <= 1.0:
-        raise ConfigError("damping", "must be in [0, 1]")
-    k = int(raw.get("k", 5))
-    if k < 3:
-        raise ConfigError("k", "must be >= 3")
-
-    drop_policy = str(raw.get("drop_policy", "oldest_first"))
-    if drop_policy not in DROP_POLICIES:
-        raise ConfigError("drop_policy", f"unknown policy {drop_policy!r}")
-
-    epoch = raw.get("epoch")
     return ExperimentConfig(
         routers=routers,
         ttls=ttls,
@@ -172,18 +216,8 @@ def load_experiment_config(raw: Mapping, base_dir: Path | str = ".") -> Experime
         routine=routine,
         workload_path=workload_path,
         workload_gen=workload_gen,
-        sample=sample,
-        buffer_capacity=int(positive("buffer_capacity", 2_000_000)),
-        bandwidth=bandwidth,
-        damping=damping,
-        k=k,
-        familiar_threshold=positive("familiar_threshold", 43_200.0),
-        centrality_window=positive("centrality_window", 21_600.0),
-        recompute_interval=positive("recompute_interval", 86_400.0),
-        epoch=None if epoch is None else float(epoch),
-        drop_policy=drop_policy,
-        charge_summaries=bool(raw.get("charge_summaries", False)),
-        out_dir=base / str(raw.get("out", "results")),
+        sim=sim,
+        out_dir=base / _string("out", raw.get("out", "results")),
     )
 
 
@@ -227,34 +261,6 @@ def materialize_scenario(
     return trace, tuple(entries)
 
 
-def sim_config_for_cell(
-    cfg: ExperimentConfig,
-    router: str,
-    ttl: float,
-    seed: int,
-    trace: ContactTrace,
-    workload: tuple[WorkloadEntry, ...],
-) -> SimConfig:
-    return SimConfig(
-        trace=trace,
-        workload=workload,
-        router=router,
-        sample=cfg.sample,
-        ttl=ttl,
-        buffer_capacity=cfg.buffer_capacity,
-        bandwidth=cfg.bandwidth,
-        damping=cfg.damping,
-        k=cfg.k,
-        familiar_threshold=cfg.familiar_threshold,
-        centrality_window=cfg.centrality_window,
-        recompute_interval=cfg.recompute_interval,
-        epoch=cfg.epoch,
-        drop_policy=cfg.drop_policy,
-        charge_summaries=cfg.charge_summaries,
-        seed=seed,
-    )
-
-
 def cell_dir_name(router: str, ttl: float, seed: int) -> str:
     ttl_txt = str(int(ttl)) if float(ttl).is_integer() else repr(float(ttl))
     return f"{router}_ttl{ttl_txt}_s{seed}"
@@ -276,10 +282,11 @@ def _cell_tasks(cfg: ExperimentConfig, dump_ledgers: bool):
 
 def _run_cell(args) -> tuple[str, float, int, RunMetrics]:
     cfg, router, ttl, seed, (trace, workload), dump_ledgers = args
-    sim_cfg = sim_config_for_cell(cfg, router, ttl, seed, trace, workload)
     from .engine import Simulation  # local import keeps worker pickling light
 
-    sim = Simulation(sim_cfg)
+    sim = Simulation(
+        replace(cfg.sim, trace=trace, workload=workload, router=router, ttl=ttl, seed=seed)
+    )
     log = sim.run()
     cell = cfg.out_dir / cell_dir_name(router, ttl, seed)
     cell.mkdir(parents=True, exist_ok=True)

@@ -13,7 +13,7 @@ from .engine import EventLog, KIND_CREATED, KIND_DELIVERED, KIND_REPLICATED
 
 
 class MetricsError(ValueError):
-    """The requested metric is undefined for this log."""
+    """A metric summary was asked of zero values."""
 
 
 def _scan(log: EventLog) -> tuple[dict[str, float], dict[str, float], int]:
@@ -31,31 +31,6 @@ def _scan(log: EventLog) -> tuple[dict[str, float], dict[str, float], int]:
     return created, first_delivery, replications
 
 
-def delivery_probability(log: EventLog) -> float:
-    """Distinct delivered messages over created messages."""
-    created, delivered, _ = _scan(log)
-    if not created:
-        raise MetricsError("no messages created: delivery probability undefined")
-    return len(delivered) / len(created)
-
-
-def average_cost(log: EventLog) -> float:
-    """All replications ever made (delivered or not) per distinct delivered
-    message; the delivered copy itself counts."""
-    _, delivered, replications = _scan(log)
-    if not delivered:
-        raise MetricsError("no messages delivered: cost undefined")
-    return replications / len(delivered)
-
-
-def average_latency(log: EventLog) -> float:
-    """Mean time from creation to first delivery, over delivered messages."""
-    created, delivered, _ = _scan(log)
-    if not delivered:
-        raise MetricsError("no messages delivered: latency undefined")
-    return sum(t - created[msg] for msg, t in delivered.items()) / len(delivered)
-
-
 @dataclass(frozen=True)
 class RunMetrics:
     """One run's results; cost and latency are None when nothing was delivered."""
@@ -66,6 +41,10 @@ class RunMetrics:
 
 
 def compute_run_metrics(log: EventLog) -> RunMetrics:
+    """Delivery probability: distinct delivered messages over created ones.
+    Cost: all replications ever made (delivered or not, the delivered copy
+    included) per distinct delivered message. Latency: mean time from
+    creation to first delivery, over delivered messages."""
     created, delivered, replications = _scan(log)
     if not created:
         return RunMetrics(None, None, None)

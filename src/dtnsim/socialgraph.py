@@ -13,46 +13,21 @@ import networkx as nx
 from .contacts import ContactEvent
 
 
-@dataclass(frozen=True)
-class FamiliarGraph:
-    """Undirected graph whose edges mark pairs with enough cumulative contact."""
-
-    adjacency: dict[int, frozenset[int]]
-
-    @property
-    def nodes(self) -> list[int]:
-        return sorted(self.adjacency)
-
-    def neighbors(self, node: int) -> frozenset[int]:
-        return self.adjacency.get(node, frozenset())
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return b in self.adjacency.get(a, frozenset())
-
-    @property
-    def edges(self) -> list[tuple[int, int]]:
-        return sorted(
-            (a, b) for a, nbrs in self.adjacency.items() for b in nbrs if a < b
-        )
-
-
 def build_familiar_graph(
     pair_durations: Mapping[tuple[int, int], float], threshold: float
-) -> FamiliarGraph:
-    """Keep an edge for every pair whose cumulative contact time reaches the
-    familiarity threshold."""
-    adj: dict[int, set[int]] = {}
+) -> nx.Graph:
+    """Every node of a pair as a graph node, and an edge for every pair whose
+    cumulative contact time reaches the familiarity threshold."""
+    graph = nx.Graph()
     for (a, b), seconds in pair_durations.items():
         if a == b:
             raise ValueError(f"self-pair for node {a}")
         if seconds < 0:
             raise ValueError("durations must be >= 0")
-        adj.setdefault(a, set())
-        adj.setdefault(b, set())
+        graph.add_nodes_from((a, b))
         if seconds >= threshold:
-            adj[a].add(b)
-            adj[b].add(a)
-    return FamiliarGraph({n: frozenset(s) for n, s in adj.items()})
+            graph.add_edge(a, b)
+    return graph
 
 
 @dataclass(frozen=True)
@@ -107,14 +82,11 @@ def _percolate(cliques: Sequence[frozenset[int]], k: int) -> list[frozenset[int]
     return [frozenset(g) for g in groups.values()]
 
 
-def k_clique_communities(graph: FamiliarGraph, k: int) -> CommunityMap:
+def k_clique_communities(graph: nx.Graph, k: int) -> CommunityMap:
     """Communities as unions of k-cliques reachable through k-1 shared nodes."""
     if k < 3:
         raise ValueError("k must be >= 3")
-    g = nx.Graph()
-    g.add_nodes_from(graph.adjacency)
-    g.add_edges_from(graph.edges)
-    cliques = [frozenset(c) for c in nx.find_cliques(g) if len(c) >= k]
+    cliques = [frozenset(c) for c in nx.find_cliques(graph) if len(c) >= k]
     communities = _percolate(cliques, k)
     communities.sort(key=lambda c: tuple(sorted(c)))
     return CommunityMap(tuple(communities))

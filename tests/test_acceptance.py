@@ -21,11 +21,8 @@ from dtnsim import (
     SampleSlot,
     SocialLedger,
     WorkloadEntry,
-    average_cost,
-    average_latency,
     build_familiar_graph,
     compute_run_metrics,
-    delivery_probability,
     dlife_on_contact,
     k_clique_communities,
     messages_from_workload,
@@ -245,7 +242,7 @@ def test_criterion_5_metric_definitions():
             delivered("m1", 90.0),
         ]
     )
-    assert delivery_probability(log_a) == 0.5
+    assert compute_run_metrics(log_a).delivery_probability == 0.5
 
     # 7 replications (3 of them for a never-delivered message), 2 delivered
     log_b = EventLog(
@@ -264,7 +261,7 @@ def test_criterion_5_metric_definitions():
             replicated("lost", 6.0),
         ]
     )
-    assert average_cost(log_b) == 3.5
+    assert compute_run_metrics(log_b).avg_cost == 3.5
 
     # latency from first deliveries only: (100 + 300) / 2
     log_c = EventLog(
@@ -276,7 +273,7 @@ def test_criterion_5_metric_definitions():
             delivered("m0", 9999.0, src=7),
         ]
     )
-    assert average_latency(log_c) == 200.0
+    assert compute_run_metrics(log_c).avg_latency == 200.0
     print("PASS criterion 5: delivery/cost/latency match hand calculations on 3 hand-built logs")
 
 

@@ -1,8 +1,11 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import dtnsim
 from dtnsim import parse_contact_trace, parse_workload
@@ -60,6 +63,23 @@ def test_run_command_rejects_bad_router(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "warpdrive" in err and "dlife" in err  # names the valid options
+
+
+@pytest.mark.parametrize("key,value,path", [
+    ("buffer_capacity", math.inf, "buffer_capacity"),
+    ("epoch", math.inf, "epoch"),
+    ("ttls", [math.inf], "ttls[0]"),
+    ("bandwidth", math.nan, "bandwidth"),
+])
+def test_run_rejects_non_finite_settings_at_load(tmp_path, capsys, key, value, path):
+    write_routine_spec(tmp_path / "routine.json")
+    cfg_path = write_config(tmp_path / "plan.json", "res")
+    raw = json.loads(cfg_path.read_text())
+    raw[key] = value
+    cfg_path.write_text(json.dumps(raw))  # as Infinity / NaN, which json reads back
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_USAGE
+    assert f"config error: {path}:" in capsys.readouterr().err
+    assert not (tmp_path / "res" / "results.csv").exists()
 
 
 def test_run_dump_ledgers(tmp_path):

@@ -319,6 +319,32 @@ def test_startup_rejects_non_finite_times(overrides, match):
         Simulation(simple_cfg(**params))
 
 
+@pytest.mark.parametrize("overrides,field", [
+    (dict(router="flooding"), "router"),
+    (dict(ttl=0.0), "ttl"),
+    (dict(buffer_capacity=0), "buffer_capacity"),
+    (dict(bandwidth=0.0), "bandwidth"),
+    (dict(k=2), "k"),
+    (dict(k=math.nan), "k"),
+    (dict(damping=-0.1), "damping"),
+    (dict(damping=math.nan), "damping"),
+    (dict(epoch=math.nan), "epoch"),
+    (dict(drop_policy=None), "drop_policy"),
+])
+def test_sim_config_names_the_field_it_rejects(overrides, field):
+    # no trace or workload needed: SimConfig checks its settings when built
+    with pytest.raises(SimStartupError) as err:
+        SimConfig(**overrides)
+    assert err.value.field == field
+    assert str(err.value).startswith(field)
+
+
+def test_sim_config_template_needs_no_inputs():
+    template = SimConfig()
+    assert template.trace.events == [] and template.workload == ()
+    assert Simulation(template).run().records == []
+
+
 def test_epoch_auto_floors_to_day_boundary():
     trace = trace_of([(0, 1, 90000.0, 90100.0)])
     sim = Simulation(simple_cfg(trace, ()))

@@ -1,5 +1,13 @@
+import dataclasses
+import importlib.util
+import json
+import math
+import re
+from pathlib import Path
+
 import pytest
 
+from dtnsim import ContactEvent, ContactTrace, SimConfig, SimStartupError, serialize_contact_trace
 from dtnsim.experiment import (
     ConfigError,
     ResultRow,
@@ -50,9 +58,10 @@ def test_zero_config_defaults_mirror_reference_setup(tmp_path):
     assert cfg.routers == ("dlife", "dlifecomm", "bubblerap", "epidemic")
     assert cfg.ttls == DEFAULT_TTLS == (86400.0, 172800.0, 345600.0, 604800.0, 1814400.0)
     assert cfg.seeds == DEFAULT_SEEDS == tuple(range(1, 11))
-    assert cfg.sample.samples_per_day == 24
+    assert cfg.sim == SimConfig()  # every engine default is SimConfig's
+    assert cfg.sim.sample.samples_per_day == 24
     assert cfg.buffer_capacity == 2_000_000
-    assert cfg.k == 5 and cfg.damping == 0.8
+    assert cfg.sim.k == 5 and cfg.sim.damping == 0.8
     assert len(cfg.cells) == 4 * 5 * 10
 
 
@@ -82,6 +91,90 @@ def test_config_validation_field_paths():
     cfg["ttls"] = []
     with pytest.raises(ConfigError, match="ttls"):
         load_experiment_config(cfg, ".")
+
+
+@pytest.mark.parametrize("knob", ["familiar_threshold", "centrality_window", "recompute_interval"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+def test_knobs_must_be_finite_and_positive(knob, value):
+    with pytest.raises(SimStartupError) as err:
+        SimConfig(**{knob: value})
+    assert err.value.field == knob
+
+    raw = base_config()
+    raw[knob] = value
+    with pytest.raises(ConfigError) as err:
+        load_experiment_config(raw, ".")
+    assert err.value.field_path == knob
+
+
+@pytest.mark.parametrize("key,value,path", [
+    ("bandwith", 11e6, "bandwith"),  # a typo of a known key
+    ("k", 5.7, "k"),
+    ("buffer_capacity", 2_000_000.5, "buffer_capacity"),
+    ("buffer_capacity", math.inf, "buffer_capacity"),
+    ("samples_per_day", 24.5, "samples_per_day"),
+    ("seconds_per_day", "86400", "seconds_per_day"),
+    ("charge_summaries", "false", "charge_summaries"),
+    ("charge_summaries", 0, "charge_summaries"),
+    ("drop_policy", 1, "drop_policy"),
+    ("damping", "0.8", "damping"),
+    ("bandwidth", True, "bandwidth"),
+    ("bandwidth", math.nan, "bandwidth"),
+    ("epoch", math.inf, "epoch"),
+    ("ttls", [86400, math.inf], "ttls[1]"),
+    ("ttls", 86400, "ttls"),
+    pytest.param("ttls", [10**400], "ttls[0]", id="ttls-int-beyond-float"),
+    ("seeds", [1, 2.5], "seeds[1]"),
+    ("routers", ["dlife", "dlife"], "routers"),
+    ("workload", {"count": "many", "window": [0.0, 86400.0]}, "workload.count"),
+])
+def test_loader_rejects_unknown_keys_and_wrong_types(key, value, path):
+    raw = base_config()
+    raw[key] = value
+    with pytest.raises(ConfigError) as err:
+        load_experiment_config(raw, ".")
+    assert err.value.field_path == path
+
+
+def test_loader_keeps_engine_types():
+    raw = base_config()
+    raw.update(k=4.0, buffer_capacity=3e6, damping=1, bandwidth=11_000_000, epoch=0)
+    sim = load_experiment_config(raw, ".").sim
+    assert (sim.k, sim.buffer_capacity) == (4, 3_000_000)
+    assert all(type(v) is int for v in (sim.k, sim.buffer_capacity))
+    assert all(type(v) is float for v in (sim.damping, sim.bandwidth, sim.epoch))
+
+
+def _load_bench_plans():
+    path = Path(__file__).resolve().parent.parent / "bench" / "plans.py"
+    spec = importlib.util.spec_from_file_location("bench_plans", path)
+    plans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(plans)
+    return plans
+
+
+def test_benchmark_plans_load(tmp_path):
+    plans = _load_bench_plans()
+    for workload in plans.WORKLOADS:
+        raw = plans.prepare(workload, 1, tmp_path)
+        cfg = load_experiment_config(dict(raw, out="out"), tmp_path)
+        assert cfg.sim.buffer_capacity == raw["buffer_capacity"]
+
+
+def test_readme_example_sets_every_engine_field(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme[readme.index("### Experiment config"):]
+    raw = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    trace = ContactTrace.from_events([ContactEvent(0, 1, 0.0, 10.0)])
+    (tmp_path / raw["trace"]).write_text(serialize_contact_trace(trace))
+    cfg = load_experiment_config(raw, tmp_path)
+    # the sweep axes set a cell's router, ttl and seed; the grid sets sample
+    key_of = {"router": "routers", "ttl": "ttls", "seed": "seeds", "sample": "samples_per_day"}
+    for f in dataclasses.fields(SimConfig):
+        assert key_of.get(f.name, f.name) in raw, f.name
+    assert "seconds_per_day" in raw
+    # the example spells out the defaults
+    assert cfg.sim == SimConfig()
 
 
 def test_materialize_scenario_varies_with_seed(tmp_path):

@@ -6,13 +6,9 @@ import pytest
 from dtnsim import (
     EventLog,
     LogRecord,
-    MetricsError,
     RunMetrics,
     aggregate_runs,
-    average_cost,
-    average_latency,
     compute_run_metrics,
-    delivery_probability,
 )
 from dtnsim.metrics import summarize
 
@@ -46,13 +42,12 @@ def test_delivery_probability_examples():
         replicated("m1", 150.0),
         delivered("m1", 150.0),
     )
-    assert delivery_probability(log) == 0.5
+    assert compute_run_metrics(log).delivery_probability == 0.5
 
     undelivered = log_of(created("m0"), created("m1"))
-    assert delivery_probability(undelivered) == 0.0
+    assert compute_run_metrics(undelivered).delivery_probability == 0.0
 
-    with pytest.raises(MetricsError):
-        delivery_probability(log_of())
+    assert compute_run_metrics(log_of()).delivery_probability is None
 
 
 def test_duplicate_deliveries_count_once():
@@ -63,8 +58,9 @@ def test_duplicate_deliveries_count_once():
         replicated("m0", 99.0, src=2),
         delivered("m0", 99.0, src=2),
     )
-    assert delivery_probability(log) == 1.0
-    assert average_latency(log) == 10.0  # first delivery only
+    rm = compute_run_metrics(log)
+    assert rm.delivery_probability == 1.0
+    assert rm.avg_latency == 10.0  # first delivery only
 
 
 def test_average_cost_examples():
@@ -74,7 +70,7 @@ def test_average_cost_examples():
         records.append(replicated(f"m{i}", 50.0 + i))
         records.append(delivered(f"m{i}", 50.0 + i))
         records.append(replicated(f"m{i}", 60.0 + i, src=3, dst=4))
-    assert average_cost(log_of(*records)) == 2.0
+    assert compute_run_metrics(log_of(*records)).avg_cost == 2.0
 
     # direct deliveries only: cost 1.0
     records = []
@@ -82,22 +78,21 @@ def test_average_cost_examples():
         records.append(created(f"m{i}", float(i)))
         records.append(replicated(f"m{i}", 10.0 + i))
         records.append(delivered(f"m{i}", 10.0 + i))
-    assert average_cost(log_of(*records)) == 1.0
+    assert compute_run_metrics(log_of(*records)).avg_cost == 1.0
 
     # 7 replications including 3 for never-delivered messages, 2 delivered
     records = [created("a"), created("b"), created("lost")]
     records += [replicated("a", 1.0), delivered("a", 1.0), replicated("a", 2.0, dst=5)]
     records += [replicated("b", 3.0), delivered("b", 3.0), replicated("b", 3.5, dst=6)]
     records += [replicated("lost", 4.0), replicated("lost", 5.0), replicated("lost", 6.0)]
-    assert average_cost(log_of(*records)) == 3.5
+    assert compute_run_metrics(log_of(*records)).avg_cost == 3.5
 
-    with pytest.raises(MetricsError):
-        average_cost(log_of(created("m0")))
+    assert compute_run_metrics(log_of(created("m0"))).avg_cost is None
 
 
 def test_average_latency_examples():
     log = log_of(created("m0"), replicated("m0", 100.0), delivered("m0", 100.0))
-    assert average_latency(log) == 100.0
+    assert compute_run_metrics(log).avg_latency == 100.0
 
     log = log_of(
         created("m0"),
@@ -105,10 +100,9 @@ def test_average_latency_examples():
         delivered("m0", 100.0),
         delivered("m1", 300.0),
     )
-    assert average_latency(log) == 200.0
+    assert compute_run_metrics(log).avg_latency == 200.0
 
-    with pytest.raises(MetricsError):
-        average_latency(log_of(created("m0")))
+    assert compute_run_metrics(log_of(created("m0"))).avg_latency is None
 
 
 def test_compute_run_metrics_handles_undefined():
