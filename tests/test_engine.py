@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -26,6 +27,7 @@ from dtnsim.engine import (
     KIND_EXPIRED,
     KIND_REPLICATED,
 )
+from dtnsim.ledger import dump_ledgers_csv
 from dtnsim.workload import WorkloadEntry
 
 from oracles import earliest_delivery, replay_log, rescan_window_centrality
@@ -397,6 +399,22 @@ def test_chained_rolls_reach_the_horizon():
     sim = Simulation(simple_cfg(trace, entries((3.6e4, 0, 1, 500)), router="bubblerap"))
     sim.run()
     assert [node.ledger._clock for node in sim.nodes] == [34, 34]
+
+
+def test_ledger_dump_reaches_the_horizon():
+    # the dump of the chained-roll run: sample 0 rolled on days 0 and 1, so
+    # the 100 s contact averages 50 s there; ten more hourly rolls on day 1
+    trace = trace_of([(0, 1, 100.0, 200.0)])
+    sim = Simulation(simple_cfg(trace, entries((3.6e4, 0, 1, 500)), router="dlife"))
+    assert len(sim.run()) == 2
+    pair_csv, imp_csv = dump_ledgers_csv(node.ledger for node in sim.nodes)
+    assert pair_csv.splitlines()[1] == "0,1,0,50.0,50.0"
+    assert hashlib.sha256(pair_csv.encode()).hexdigest() == (
+        "c7a1fdfcca5c7fcc578b9faadcd3143ad9a517fe3396d4e1f4cb56ced1a00242"
+    )
+    assert hashlib.sha256(imp_csv.encode()).hexdigest() == (
+        "0f5aca350bbc3708faac73864f1564569f56737fa65856f02a2a1c889162a4f8"
+    )
 
 
 def test_bubblerap_centralities_match_rescan_of_ended_contacts():

@@ -1,5 +1,7 @@
 """Golden event logs: the SHA-256 of `events.csv` and `events.ndjson` for
-every router, link model and drop policy on one small desk scenario.
+every router, link model and drop policy on one small desk scenario, of
+`events.csv` for runs that charge summaries to the link, and of the ledger
+dump of one `dlife` run.
 
 A change that must not alter behaviour (a refactor, a faster buffer or
 decision path) keeps every hash here; a change that alters a log on purpose
@@ -11,8 +13,9 @@ import hashlib
 import pytest
 
 from dtnsim import BANDWIDTH_WIFI_11MBPS as MBPS_11
-from dtnsim import run_simulation
+from dtnsim import Simulation, run_simulation
 from dtnsim.engine import KIND_ABORTED, KIND_DROPPED
+from dtnsim.ledger import dump_ledgers_csv
 
 from scenarios import DAY, GOLDEN_CAPACITY, desk_sim_config, golden_scenario
 
@@ -84,6 +87,23 @@ GOLDEN = {
     ),
 }
 
+# charge_summaries at 11 Mbps, oldest first: router -> events.csv sha256
+GOLDEN_CHARGED = {
+    "dlife": "4c63dceb4a271db0d244600702ec48de7bedc1df74840755db373d3cfd738e24",
+    "epidemic": "15bb60d95b5df95db5514674cfa010466fa1c6c42e60f39ff3675a889c960a32",
+}
+
+# dlife, unlimited bandwidth, oldest first, with the ledger dump:
+# (ledger_pairs.csv sha256, ledger_importance.csv sha256)
+GOLDEN_LEDGER_DUMP = (
+    "ddc5fd2946f26e9804e0a9acf982a5287d8807b720040ff6aa9f20a0010f4bac",
+    "13afeb338553c4e516e13e60622ddc3d1a7583172fbe1e443351e19de8daa6df",
+)
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
 
 @pytest.fixture(scope="module")
 def scenario():
@@ -107,8 +127,31 @@ def test_golden_event_log(scenario, router, bandwidth, drop_policy):
     kinds = {r.kind for r in log}
     assert KIND_DROPPED in kinds
     assert (KIND_ABORTED in kinds) == (bandwidth is not None)
-    digests = (
-        hashlib.sha256(log.to_csv().encode()).hexdigest(),
-        hashlib.sha256(log.to_ndjson().encode()).hexdigest(),
-    )
+    digests = (sha256(log.to_csv()), sha256(log.to_ndjson()))
     assert digests == GOLDEN[(router, bandwidth, drop_policy)]
+
+
+@pytest.mark.parametrize("router", sorted(GOLDEN_CHARGED))
+def test_golden_charged_summaries(scenario, router):
+    trace, workload = scenario
+    cfg = desk_sim_config(
+        trace,
+        workload,
+        router,
+        ttl=DAY,
+        seed=5,
+        buffer_capacity=GOLDEN_CAPACITY,
+        bandwidth=MBPS_11,
+        charge_summaries=True,
+    )
+    assert sha256(run_simulation(cfg).to_csv()) == GOLDEN_CHARGED[router]
+
+
+def test_golden_ledger_dump(scenario):
+    trace, workload = scenario
+    sim = Simulation(
+        desk_sim_config(trace, workload, "dlife", ttl=DAY, seed=5, buffer_capacity=GOLDEN_CAPACITY)
+    )
+    sim.run()
+    pair_csv, imp_csv = dump_ledgers_csv(node.ledger for node in sim.nodes)
+    assert (sha256(pair_csv), sha256(imp_csv)) == GOLDEN_LEDGER_DUMP
