@@ -32,7 +32,7 @@ from .engine import (
     run_simulation,
     transfer_within_contact,
 )
-from .ledger import LedgerOrderingError, PeerSampleStats, SocialLedger
+from .ledger import LedgerOrderingError, SocialLedger
 from .metrics import (
     AggregateMetrics,
     MetricSummary,

@@ -149,6 +149,9 @@ def _parse_record(fields: Sequence[str], line_no: int) -> tuple[int, int, float,
     return a, b, start, end
 
 
+TRACE_FORMATS = ("csv", "haggle")
+
+
 def parse_contact_trace(text: str | bytes, fmt: str = "csv") -> tuple[ContactTrace, dict[int, int]]:
     """Parse a contact trace and remap node ids to a dense 0-based range.
 
@@ -159,7 +162,7 @@ def parse_contact_trace(text: str | bytes, fmt: str = "csv") -> tuple[ContactTra
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    if fmt not in ("csv", "haggle"):
+    if fmt not in TRACE_FORMATS:
         raise ValueError(f"unknown trace format {fmt!r} (expected 'csv' or 'haggle')")
 
     raw: list[tuple[int, int, float, float]] = []

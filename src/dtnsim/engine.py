@@ -1,6 +1,6 @@
 """Deterministic discrete-event engine: replays a contact trace, maintains
-per-node ledgers and buffers, invokes a routing policy at contact
-opportunities, and emits an ordered event log."""
+per-node buffers and (for the runs that read it) the social ledger, invokes
+a routing policy at contact opportunities, and emits an ordered event log."""
 
 from __future__ import annotations
 
@@ -184,16 +184,15 @@ class SimConfig:
 
 
 class NodeRuntime:
-    """One simulated node: its bounded buffer and its social ledger.
+    """One simulated node's bounded buffer.
 
     The buffer is kept in `Message.order_key` order as messages come and go,
     so eviction takes an end of it and `messages_by_creation` never sorts.
     """
 
-    def __init__(self, node_id: int, capacity: int, ledger: SocialLedger):
+    def __init__(self, node_id: int, capacity: int):
         self.node_id = node_id
         self.capacity = capacity
-        self.ledger = ledger
         self.buffer: dict[str, Message] = {}
         self.occupancy = 0
         # messages this node received as final recipient; advertised in its
@@ -308,15 +307,20 @@ def _already_held(sender: NodeRuntime, receiver: NodeRuntime, sent: set[str]) ->
 class Simulation:
     """One deterministic run over a trace and a workload."""
 
-    def __init__(self, cfg: SimConfig):
+    def __init__(self, cfg: SimConfig, keep_ledger: bool = False):
         self.cfg = cfg
         self._validate()
         self.epoch = self._resolve_epoch()
         n = cfg.trace.node_count
-        self.nodes = [
-            NodeRuntime(i, cfg.buffer_capacity, SocialLedger(i, n, cfg.sample, cfg.damping))
-            for i in range(n)
-        ]
+        self.nodes = [NodeRuntime(i, cfg.buffer_capacity) for i in range(n)]
+        # the ledger, built only for the runs that read it: routers that weigh
+        # pairs, summaries charged to a finite link, and `keep_ledger` (dumps)
+        self._charges_summaries = cfg.charge_summaries and cfg.bandwidth is not None
+        self.ledger = (
+            SocialLedger(n, cfg.sample, cfg.damping)
+            if keep_ledger or cfg.router in LEDGER_ROUTERS or self._charges_summaries
+            else None
+        )
         # messages by workload row; heap entries name a message by its row
         self.rows = messages_from_workload(cfg.workload, cfg.ttl)
         self.messages = {m.id: m for m in self.rows}
@@ -340,6 +344,10 @@ class Simulation:
         self.horizon = max(
             [cfg.trace.duration] + [m.expires_at for m in self.rows] + [self.epoch]
         )
+        # no decision reads the ledger after the last contact ends, so the
+        # run rolls it only that far (`final_ledger` rolls on to the horizon)
+        last_end = max((ev.end for ev in cfg.trace.events), default=self.epoch)
+        self._rolls_until = min(self.horizon, last_end)
         self._heap: list[tuple] = []
         self._evals: deque[tuple[int, int, int]] = deque()  # (contact index, src, dst)
         self._evals_pending: set[tuple[int, int, int]] = set()
@@ -403,17 +411,19 @@ class Simulation:
             self._push(ev.end, _PRI_CONTACT_END, ev.node_a, ev.node_b, -1, idx)
         for m in self.rows:
             self._push(m.created_at, _PRI_CREATE, m.source, m.destination, m.row)
-        self._push_boundary(_PRI_ROLL, 1)
+        if self.ledger is not None:
+            self._push_boundary(_PRI_ROLL, 1)
         if self.meetings is not None:
             self._push_boundary(_PRI_RECOMPUTE, 1)
 
     def _push_boundary(self, pri: int, n: int) -> None:
-        # The n-th roll or recompute, if it falls within the horizon. Each
+        # The n-th roll or recompute, if it falls within its limit. Each
         # handler pushes its successor, so the heap holds one of each at a
         # time, however far the horizon lies.
         cfg = self.cfg
         length = cfg.sample.sample_length if pri == _PRI_ROLL else cfg.recompute_interval
-        if self.epoch + n * length <= self.horizon:
+        limit = self._rolls_until if pri == _PRI_ROLL else self.horizon
+        if self.epoch + n * length <= limit:
             self._push(self.epoch + n * length, pri, -1, -1, -1, n)
 
     def run(self) -> EventLog:
@@ -437,6 +447,18 @@ class Simulation:
                 self._on_contact_start(time, extra)
             self._drain_evals(time)
         return self.log
+
+    def final_ledger(self) -> SocialLedger:
+        """The ledger as of the horizon, after `run`: this makes the rolls
+        that the run leaves out after the last contact end."""
+        if self.ledger is None:
+            raise ValueError(f"a {self.cfg.router} run keeps no ledger unless keep_ledger is set")
+        length = self.cfg.sample.sample_length
+        n = self.ledger.clock + 1
+        while self.epoch + n * length <= self.horizon:
+            self.ledger.roll_sample(slot_from_linear(n - 1, self.cfg.sample))
+            n += 1
+        return self.ledger
 
     # -- handlers ----------------------------------------------------------
 
@@ -491,23 +513,19 @@ class Simulation:
         self.ongoing_by_node[ev.node_b].discard(index)
         for src, dst, msg_id in oc.aborts:
             self.log.append(LogRecord(time, KIND_ABORTED, msg_id, src, dst))
-        rebased = ContactEvent(ev.node_a, ev.node_b, ev.start - self.epoch, ev.end - self.epoch)
-        for slot, duration in split_contact_by_samples(rebased, self.cfg.sample):
-            self.nodes[ev.node_a].ledger.record_contact_fragment(ev.node_b, slot, duration)
-            self.nodes[ev.node_b].ledger.record_contact_fragment(ev.node_a, slot, duration)
+        if self.ledger is not None:
+            rebased = ContactEvent(ev.node_a, ev.node_b, ev.start - self.epoch, ev.end - self.epoch)
+            for slot, duration in split_contact_by_samples(rebased, self.cfg.sample):
+                self.ledger.record_contact_fragment(ev.node_a, ev.node_b, slot, duration)
         if self.meetings is not None:
             self.pair_seconds[ev.pair] = self.pair_seconds.get(ev.pair, 0.0) + ev.duration
             self.meetings.add(ev)
 
     def _on_roll(self, boundary_index: int) -> None:
         self._push_boundary(_PRI_ROLL, boundary_index + 1)
-        finished = slot_from_linear(boundary_index - 1, self.cfg.sample)
-        for node in self.nodes:
-            node.ledger.roll_sample(finished)
+        self.ledger.roll_sample(slot_from_linear(boundary_index - 1, self.cfg.sample))
         for oc in self.ongoing.values():
-            ev = oc.event
-            self.nodes[ev.node_a].ledger.mark_peer_seen(ev.node_b)
-            self.nodes[ev.node_b].ledger.mark_peer_seen(ev.node_a)
+            self.ledger.mark_met(oc.event.node_a, oc.event.node_b)
 
     def _on_recompute(self, time: float, n: int) -> None:
         # contact ends sort before a recompute at the same instant, so the
@@ -533,21 +551,12 @@ class Simulation:
         self.ongoing_by_node[a].add(index)
         self.ongoing_by_node[b].add(index)
 
-        la, lb = self.nodes[a].ledger, self.nodes[b].ledger
-        la.mark_peer_seen(b)
-        lb.mark_peer_seen(a)
-        # Opportunistic importance exchange: both sides recompute from cached
-        # values, then cache each other's fresh result.
-        ia = la.update_importance()
-        ib = lb.update_importance()
-        la.record_peer_importance(b, ib)
-        lb.record_peer_importance(a, ia)
-
-        if self.cfg.charge_summaries and self.cfg.bandwidth is not None:
-            meta_bytes = sum(
-                64 + 8 * len(self.nodes[n].ledger.weights_to_all_neighbors()) for n in (a, b)
-            )
-            oc.busy_until = time + meta_bytes * 8.0 / self.cfg.bandwidth
+        ledger = self.ledger
+        if ledger is not None:
+            ledger.meet(a, b)
+            if self._charges_summaries:
+                meta_bytes = sum(64 + 8 * len(ledger.weights_to_all_neighbors(n)) for n in (a, b))
+                oc.busy_until = time + meta_bytes * 8.0 / self.cfg.bandwidth
 
         self._evaluate_contact(index, time)
 
@@ -587,10 +596,11 @@ class Simulation:
             return
         receiver = self.nodes[dst]
         if self._reads_ledger:
-            sender_weights = sender.ledger.weights_to_all_neighbors()
-            sender_importance = sender.ledger.importance()
-            peer_weights = receiver.ledger.weights_to_all_neighbors()
-            peer_importance = receiver.ledger.importance()
+            ledger = self.ledger
+            sender_weights = ledger.weights_to_all_neighbors(src)
+            sender_importance = ledger.importance(src)
+            peer_weights = ledger.weights_to_all_neighbors(dst)
+            peer_importance = ledger.importance(dst)
         else:
             sender_weights = peer_weights = _NO_WEIGHTS
             sender_importance = peer_importance = 0.0

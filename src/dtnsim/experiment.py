@@ -4,12 +4,14 @@ artifacts, aggregation, and result-set comparison."""
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .contacts import (
+    TRACE_FORMATS,
     ContactTrace,
     RoutineSpec,
     SampleConfig,
@@ -143,6 +145,28 @@ def _sweep(raw: Mapping, key: str, default: tuple, read) -> tuple:
     return values
 
 
+def _workload_generator(spec: Mapping) -> dict:
+    """The generator spec read and checked: a count > 0, a finite window
+    [start, end] with start <= end, and sizes 0 < min_size <= max_size."""
+    unknown = sorted(set(spec) - {"count", "window", "min_size", "max_size"})
+    if unknown:
+        raise ConfigError(f"workload.{unknown[0]}", "unknown key")
+    count = _integer("workload.count", spec["count"])
+    if count <= 0:
+        raise ConfigError("workload.count", "must be > 0")
+    window = _require(spec, "window", "workload")
+    if not isinstance(window, (list, tuple)) or len(window) != 2:
+        raise ConfigError("workload.window", f"expected [start, end], got {window!r}")
+    lo, hi = (_number(f"workload.window[{i}]", v) for i, v in enumerate(window))
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ConfigError("workload.window", f"expected finite start <= end, got {window!r}")
+    sizes = (_integer("workload.min_size", spec.get("min_size", 1000)),
+             _integer("workload.max_size", spec.get("max_size", 100000)))
+    if not 0 < sizes[0] <= sizes[1]:
+        raise ConfigError("workload.min_size", f"expected 0 < min_size <= max_size, got {sizes}")
+    return {"count": count, "window": (lo, hi), "size_range": sizes}
+
+
 def load_experiment_config(raw: Mapping, base_dir: Path | str = ".") -> ExperimentConfig:
     base = Path(base_dir)
 
@@ -177,6 +201,8 @@ def load_experiment_config(raw: Mapping, base_dir: Path | str = ".") -> Experime
     trace = _require(raw, "trace", "")
     trace_path = routine = None
     trace_format = _string("trace_format", raw.get("trace_format", "csv"))
+    if trace_format not in TRACE_FORMATS:
+        raise ConfigError("trace_format", f"{trace_format!r} is unknown (valid: csv, haggle)")
     if isinstance(trace, str):
         trace_path = base / trace
         if not trace_path.exists():
@@ -198,12 +224,7 @@ def load_experiment_config(raw: Mapping, base_dir: Path | str = ".") -> Experime
         if not workload_path.exists():
             raise ConfigError("workload", f"file not found: {workload_path}")
     elif isinstance(workload, Mapping) and "count" in workload:
-        gen = dict(workload)
-        if _integer("workload.count", gen["count"]) <= 0:
-            raise ConfigError("workload.count", "must be > 0")
-        if "window" not in gen:
-            raise ConfigError("workload.window", "missing required field")
-        workload_gen = gen
+        workload_gen = _workload_generator(workload)
     else:
         raise ConfigError("workload", "expected a file path or {'count': ..., 'window': [lo, hi]}")
 
@@ -245,16 +266,8 @@ def materialize_scenario(
         trace, _ = load_contact_trace(cfg.trace_path, cfg.trace_format)
     if cfg.workload_gen is not None:
         gen = cfg.workload_gen
-        lo, hi = gen["window"]
         entries = generate_workload(
-            int(gen["count"]),
-            trace.node_count,
-            (float(lo), float(hi)),
-            seed,
-            size_range=(
-                int(gen.get("min_size", 1000)),
-                int(gen.get("max_size", 100000)),
-            ),
+            gen["count"], trace.node_count, gen["window"], seed, size_range=gen["size_range"]
         )
     else:
         entries = load_workload(cfg.workload_path)
@@ -285,7 +298,8 @@ def _run_cell(args) -> tuple[str, float, int, RunMetrics]:
     from .engine import Simulation  # local import keeps worker pickling light
 
     sim = Simulation(
-        replace(cfg.sim, trace=trace, workload=workload, router=router, ttl=ttl, seed=seed)
+        replace(cfg.sim, trace=trace, workload=workload, router=router, ttl=ttl, seed=seed),
+        keep_ledger=dump_ledgers,
     )
     log = sim.run()
     cell = cfg.out_dir / cell_dir_name(router, ttl, seed)
@@ -293,7 +307,7 @@ def _run_cell(args) -> tuple[str, float, int, RunMetrics]:
     (cell / "events.ndjson").write_text(log.to_ndjson())
     (cell / "events.csv").write_text(log.to_csv())
     if dump_ledgers:
-        pair_csv, imp_csv = dump_ledgers_csv(node.ledger for node in sim.nodes)
+        pair_csv, imp_csv = dump_ledgers_csv(sim.final_ledger())
         (cell / "ledger_pairs.csv").write_text(pair_csv)
         (cell / "ledger_importance.csv").write_text(imp_csv)
         (cell / "communities.json").write_text(communities_json(sim.communities))

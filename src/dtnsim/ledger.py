@@ -1,29 +1,16 @@
-"""Per-node social state: per-sample contact-time accumulators, cumulative
-daily averages, decaying pair weights, and opportunistically updated node
-importance."""
+"""Every node's social state in one table: per-sample contact-time
+accumulators, cumulative daily averages, decaying pair weights, and
+opportunistically updated node importance."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .contacts import SampleConfig, SampleSlot, slot_from_linear
+from .contacts import SampleConfig, SampleSlot
 
 
 class LedgerOrderingError(RuntimeError):
     """A ledger update arrived out of order with respect to its clock."""
-
-
-@dataclass(frozen=True)
-class PeerSampleStats:
-    """Accumulated contact time toward one peer in one daily sample:
-    today's running total, the average over completed days, and how many
-    days that average covers."""
-
-    tct_current_day: float
-    ad: float
-    days_counted: int
 
 
 def decay_coefficients(samples_per_day: int) -> np.ndarray:
@@ -37,206 +24,189 @@ def decay_coefficients(samples_per_day: int) -> np.ndarray:
 
 
 class SocialLedger:
-    """Social bookkeeping owned by one simulated node.
+    """The social bookkeeping of all N nodes of a run, in one table.
 
-    Contact fragments accumulate per (peer, daily sample); at each sample
-    boundary the finished sample is folded into a cumulative moving average
-    over days (zero-contact days included, so stale pair strengths decay).
-    Pair weights combine the averages of the next full day of samples with
-    strictly decreasing coefficients. Node importance is a damped sum over
-    the peers met in the current sample, weighted by pair weight and the
-    peers' last exchanged importance values.
+    `tct[a, b, i]` accumulates a's contact time with b in daily sample i; at
+    each sample boundary the finished sample is folded into `ad[a, b, i]`, a
+    cumulative moving average over days (zero-contact days included, so
+    stale pair strengths decay). All nodes roll at the same boundaries, so a
+    roll is one array operation. Pair weights combine the averages of the
+    next full day of samples with strictly decreasing coefficients; their
+    N x N matrix is computed once per slot, when first read. Node importance
+    is a damped sum over the peers met in the current sample, weighted by
+    pair weight and the peers' last exchanged importance values.
+
+    Memory: two N x N x t float64 arrays plus one N x N weight matrix.
     """
 
-    def __init__(self, owner: int, node_count: int, cfg: SampleConfig, damping: float = 0.8):
+    def __init__(self, node_count: int, cfg: SampleConfig, damping: float = 0.8):
         if not 0.0 <= damping <= 1.0:
             raise ValueError("damping must be in [0, 1]")
-        if not 0 <= owner < node_count:
-            raise ValueError("owner must be a valid node id")
-        self.owner = owner
-        self.node_count = node_count
+        n, t = node_count, cfg.samples_per_day
+        self.node_count = n
         self.cfg = cfg
         self.damping = float(damping)
-        t = cfg.samples_per_day
-        self._tct = np.zeros((node_count, t))
-        self._ad = np.zeros((node_count, t))
-        self._rolls = [0] * t  # completed days per sample index
-        self._clock = 0  # linear index of the open slot
-        self._neighbors: set[int] = set()
+        self.tct = np.zeros((n, n, t))
+        self.ad = np.zeros((n, n, t))
+        self.rolls = [0] * t  # completed days per sample index
+        self.clock = 0  # linear index of the open slot
+        self.current_sample = 0  # its sample index
+        self.neighbors: list[set[int]] = [set() for _ in range(n)]  # met in the open slot
         # plain floats: the damped sums can grow without bound over long runs
         # and should saturate quietly at inf rather than warn
-        self._importance = [1.0 - self.damping] * t
-        self._peer_importance = [1.0 - self.damping] * node_count
-        self._peer_importance_slot = [-1] * node_count
+        base = 1.0 - self.damping
+        self._importance = [[base] * t for _ in range(n)]
+        self._peer_importance = [[base] * n for _ in range(n)]  # [node][peer]
         self._coeff = decay_coefficients(t)
-        self._weights_cache: tuple[int, dict[int, float]] | None = None
+        self._matrix: np.ndarray | None = None  # the open slot's weights
+        self._rows: list[dict[int, float] | None] = [None] * n
 
-    @property
-    def clock_slot(self) -> SampleSlot:
-        return slot_from_linear(self._clock, self.cfg)
+    def _check_pair(self, a: int, b: int) -> None:
+        if a == b or not (0 <= a < self.node_count and 0 <= b < self.node_count):
+            raise ValueError(f"no social state between nodes {a} and {b}")
 
-    @property
-    def current_sample(self) -> int:
-        return self._clock % self.cfg.samples_per_day
+    def mark_met(self, a: int, b: int) -> None:
+        """Add a and b to each other's current-sample neighbor set."""
+        self._check_pair(a, b)
+        self.neighbors[a].add(b)
+        self.neighbors[b].add(a)
 
-    def _check_peer(self, peer: int) -> None:
-        if peer == self.owner:
-            raise ValueError("a node has no social state toward itself")
-        if not 0 <= peer < self.node_count:
-            raise ValueError(f"peer {peer} out of range")
-
-    def mark_peer_seen(self, peer: int) -> None:
-        """Add a peer to the current-sample neighbor set (contact is up)."""
-        self._check_peer(peer)
-        self._neighbors.add(peer)
-
-    def record_contact_fragment(self, peer: int, slot: SampleSlot, duration: float) -> None:
-        """Accumulate one contact fragment for (peer, slot).
+    def record_contact_fragment(self, a: int, b: int, slot: SampleSlot, duration: float) -> None:
+        """Accumulate one fragment of a contact between a and b, on both sides.
 
         Fragments for the open slot or earlier are accepted; a fragment
         with a past slot simply joins that sample index's next fold. A
         future slot is an ordering error.
         """
-        self._check_peer(peer)
+        self._check_pair(a, b)
         if duration <= 0:
             raise ValueError("fragment duration must be > 0")
         lin = slot.linear(self.cfg)
-        if lin > self._clock:
-            raise LedgerOrderingError(
-                f"fragment for future slot {slot} (clock at {self.clock_slot})"
-            )
-        self._tct[peer, slot.sample_index] += duration
-        if lin == self._clock:
-            self._neighbors.add(peer)
+        if lin > self.clock:
+            raise LedgerOrderingError(f"fragment for future slot {slot} (clock at {self.clock})")
+        i = slot.sample_index
+        self.tct[a, b, i] += duration
+        self.tct[b, a, i] += duration
+        if lin == self.clock:
+            self.neighbors[a].add(b)
+            self.neighbors[b].add(a)
 
     def roll_sample(self, finished: SampleSlot) -> None:
-        """Fold the just-finished sample into the per-day averages.
+        """Fold the just-finished sample into every pair's per-day average.
 
-        Every peer's average for that sample index advances by one day,
-        including peers with zero contact time. Rolling any slot other than
-        the open one is an ordering error.
+        Every average for that sample index advances by one day, including
+        pairs with zero contact time. Rolling any slot other than the open
+        one is an ordering error.
         """
         lin = finished.linear(self.cfg)
-        if lin < self._clock:
+        if lin < self.clock:
             raise LedgerOrderingError(f"slot {finished} already rolled")
-        if lin > self._clock:
-            raise LedgerOrderingError(f"slot {finished} not reached yet (clock at {self.clock_slot})")
+        if lin > self.clock:
+            raise LedgerOrderingError(f"slot {finished} not reached yet (clock at {self.clock})")
         i = finished.sample_index
-        j = self._rolls[i] + 1
-        self._ad[:, i] = (self._tct[:, i] + (j - 1) * self._ad[:, i]) / j
-        self._tct[:, i] = 0.0
-        self._rolls[i] = j
-        self._clock += 1
-        self._neighbors.clear()
-        self._weights_cache = None
+        j = self.rolls[i] + 1
+        self.ad[:, :, i] = (self.tct[:, :, i] + (j - 1) * self.ad[:, :, i]) / j
+        self.tct[:, :, i] = 0.0
+        self.rolls[i] = j
+        self.clock += 1
+        self.current_sample = self.clock % self.cfg.samples_per_day
+        for met in self.neighbors:
+            met.clear()
+        self._matrix = None
+        self._rows = [None] * self.node_count
 
-    def peer_stats(self, peer: int, sample_index: int) -> PeerSampleStats:
-        self._check_peer(peer)
-        return PeerSampleStats(
-            tct_current_day=float(self._tct[peer, sample_index]),
-            ad=float(self._ad[peer, sample_index]),
-            days_counted=self._rolls[sample_index],
-        )
-
-    def neighbors_in_current_sample(self) -> frozenset[int]:
-        return frozenset(self._neighbors)
-
-    def tecd_weight(self, peer: int, sample_index: int | None = None) -> float:
-        """Social strength toward a peer at the given sample (default: now).
+    def weights_at(self, sample_index: int) -> np.ndarray:
+        """Every pair's social strength at the given sample, as an N x N
+        matrix (row a: node a's weights toward each peer).
 
         Sums the per-day averages of the next full day of samples, starting
         at the given one, scaled by strictly decreasing coefficients.
         Unknown peers weigh 0.
         """
-        self._check_peer(peer)
-        i = self.current_sample if sample_index is None else sample_index
         t = self.cfg.samples_per_day
-        if not 0 <= i < t:
-            raise ValueError(f"sample index {i} out of range")
-        order = (i + np.arange(t)) % t
-        return float(self._ad[peer, order] @ self._coeff)
+        if not 0 <= sample_index < t:
+            raise ValueError(f"sample index {sample_index} out of range")
+        # Each node's (N, t) block is copied sample-major, the layout that a
+        # per-node `ad[:, order] @ coeff` product reads, so that the batched
+        # product adds in the same order and rounds the same (a plain
+        # `ad[:, :, order]` copy rounds some sums differently for small N).
+        order = (sample_index + np.arange(t)) % t
+        return np.take(self.ad.transpose(0, 2, 1), order, axis=1).transpose(0, 2, 1) @ self._coeff
 
-    def weights_to_all_neighbors(self, sample_index: int | None = None) -> dict[int, float]:
-        """Current weights toward every known peer (zero-weight peers omitted)."""
-        i = self.current_sample if sample_index is None else sample_index
-        cache_key = (self._clock, i)
-        if self._weights_cache is not None and self._weights_cache[0] == cache_key:
-            return self._weights_cache[1]
-        t = self.cfg.samples_per_day
-        order = (i + np.arange(t)) % t
-        w = self._ad[:, order] @ self._coeff
-        weights = {int(p): float(w[p]) for p in np.nonzero(w)[0] if p != self.owner}
-        self._weights_cache = (cache_key, weights)
-        return weights
+    def weights_to_all_neighbors(self, node: int) -> dict[int, float]:
+        """The node's current weights toward every known peer (zero-weight
+        peers omitted), built once per node and slot."""
+        row = self._rows[node]
+        if row is None:
+            if self._matrix is None:
+                self._matrix = self.weights_at(self.current_sample)
+            row = {p: w for p, w in enumerate(self._matrix[node].tolist()) if w}
+            self._rows[node] = row
+        return row
 
-    def record_peer_importance(self, peer: int, value: float) -> None:
-        """Cache the importance a peer reported at contact time."""
-        self._check_peer(peer)
-        self._peer_importance[peer] = float(value)
-        self._peer_importance_slot[peer] = self._clock
+    def record_peer_importance(self, node: int, peer: int, value: float) -> None:
+        """Cache at `node` the importance `peer` reported at contact time."""
+        self._check_pair(node, peer)
+        self._peer_importance[node][peer] = float(value)
 
-    def last_known_importance(self, peer: int) -> float:
-        """Most recent importance exchanged with the peer, possibly from an
-        earlier sample; peers never met report the initial value."""
-        self._check_peer(peer)
-        return float(self._peer_importance[peer])
+    def last_known_importance(self, node: int, peer: int) -> float:
+        """Most recent importance the peer exchanged with the node, possibly
+        from an earlier sample; peers never met report the initial value."""
+        self._check_pair(node, peer)
+        return self._peer_importance[node][peer]
 
-    def update_importance(self, sample_index: int | None = None) -> float:
-        """Recompute this node's importance for the given sample (default: now).
+    def update_importance(self, node: int) -> float:
+        """Recompute the node's importance for the current sample.
 
         Damped sum over the current-sample neighbor set of pair weight times
         the neighbor's cached importance, divided by the neighbor count.
         With no neighbors (or damping 0) this collapses to the base value.
         """
-        i = self.current_sample if sample_index is None else sample_index
         base = 1.0 - self.damping
-        n = len(self._neighbors)
+        met = self.neighbors[node]
+        n = len(met)
         total = 0.0
-        for peer in sorted(self._neighbors):
-            w = self.tecd_weight(peer, i)
-            if w > 0.0:  # zero-weight terms contribute nothing; also avoids 0 * inf
-                total += w * self._peer_importance[peer]
+        if n:
+            weights = self.weights_to_all_neighbors(node)
+            cached = self._peer_importance[node]
+            for peer in sorted(met):
+                w = weights.get(peer, 0.0)
+                if w > 0.0:  # zero-weight terms contribute nothing; also avoids 0 * inf
+                    total += w * cached[peer]
         value = base + self.damping * (total / n) if n else base
-        self._importance[i] = value
+        self._importance[node][self.current_sample] = value
         return value
 
-    def importance(self, sample_index: int | None = None) -> float:
-        """Last computed importance for the given sample (default: now)."""
-        i = self.current_sample if sample_index is None else sample_index
-        return self._importance[i]
+    def meet(self, a: int, b: int) -> None:
+        """Opportunistic importance exchange as a contact comes up: a and b
+        see each other, both recompute from cached values, then each caches
+        the other's fresh result."""
+        self.mark_met(a, b)
+        ia = self.update_importance(a)
+        ib = self.update_importance(b)
+        self._peer_importance[a][b] = ib
+        self._peer_importance[b][a] = ia
+
+    def importance(self, node: int, sample_index: int | None = None) -> float:
+        """The node's last computed importance for the given sample (default:
+        now)."""
+        return self._importance[node][self.current_sample if sample_index is None else sample_index]
 
 
-def peer_stats_rows(ledger: SocialLedger) -> list[tuple[int, int, int, float, float]]:
-    """Debug rows (node, peer, sample, ad, weight) for every nonzero pair."""
-    rows = []
-    t = ledger.cfg.samples_per_day
-    for peer in range(ledger.node_count):
-        if peer == ledger.owner:
-            continue
-        if not ledger._ad[peer].any():
-            continue
-        for i in range(t):
-            rows.append(
-                (ledger.owner, peer, i, float(ledger._ad[peer, i]), ledger.tecd_weight(peer, i))
-            )
-    return rows
-
-
-def importance_rows(ledger: SocialLedger) -> list[tuple[int, int, float]]:
-    """Debug rows (node, sample, importance)."""
-    return [
-        (ledger.owner, i, float(ledger._importance[i]))
-        for i in range(ledger.cfg.samples_per_day)
-    ]
-
-
-def dump_ledgers_csv(ledgers) -> tuple[str, str]:
-    """Render the per-pair and per-node debug CSVs for a set of ledgers."""
+def dump_ledgers_csv(ledger: SocialLedger) -> tuple[str, str]:
+    """Render the debug CSVs: one (node, peer, sample, ad, weight) row per
+    sample for every pair with a nonzero average, and one (node, sample,
+    importance) row per node and sample."""
+    n, t = ledger.node_count, ledger.cfg.samples_per_day
+    weights = np.stack([ledger.weights_at(i) for i in range(t)], axis=2)  # [node, peer, sample]
     pair_lines = ["node,peer,sample,ad,weight"]
     imp_lines = ["node,sample,importance"]
-    for ledger in ledgers:
-        for node, peer, sample, ad, weight in peer_stats_rows(ledger):
-            pair_lines.append(f"{node},{peer},{sample},{ad!r},{weight!r}")
-        for node, sample, imp in importance_rows(ledger):
-            imp_lines.append(f"{node},{sample},{imp!r}")
+    for node in range(n):
+        ad, w = ledger.ad[node].tolist(), weights[node].tolist()  # one node's floats at a time
+        for peer in range(n):
+            if peer != node and any(ad[peer]):
+                pair_lines += [
+                    f"{node},{peer},{i},{ad[peer][i]!r},{w[peer][i]!r}" for i in range(t)
+                ]
+        imp_lines += [f"{node},{i},{imp!r}" for i, imp in enumerate(ledger._importance[node])]
     return "\n".join(pair_lines) + "\n", "\n".join(imp_lines) + "\n"

@@ -11,7 +11,10 @@ import itertools
 import json
 import math
 
-from dtnsim import CentralityTable
+import numpy as np
+
+from dtnsim import CentralityTable, LedgerOrderingError, SampleConfig, SampleSlot
+from dtnsim.contacts import slot_from_linear
 from dtnsim.engine import (
     EVENT_LOG_CSV_HEADER,
     KIND_ABORTED,
@@ -214,6 +217,171 @@ def replay_log(log, capacity, node_count):
         "replications": replications,
         "delivered_first": delivered_first,
     }
+
+
+class PerNodeLedger:
+    """Reference model of the social ledger: the bookkeeping of one node
+    alone, as the engine kept it per node before the shared table, with
+    per-pair dot products for `tecd_weight` and a per-node matrix-vector
+    product for `weights_to_all_neighbors`.
+
+    Contact fragments accumulate per (peer, daily sample); at each sample
+    boundary the finished sample is folded into a cumulative moving average
+    over days (zero-contact days included, so stale pair strengths decay).
+    Pair weights combine the averages of the next full day of samples with
+    strictly decreasing coefficients. Node importance is a damped sum over
+    the peers met in the current sample, weighted by pair weight and the
+    peers' last exchanged importance values.
+    """
+
+    def __init__(self, owner: int, node_count: int, cfg: SampleConfig, damping: float = 0.8):
+        if not 0.0 <= damping <= 1.0:
+            raise ValueError("damping must be in [0, 1]")
+        if not 0 <= owner < node_count:
+            raise ValueError("owner must be a valid node id")
+        self.owner = owner
+        self.node_count = node_count
+        self.cfg = cfg
+        self.damping = float(damping)
+        t = cfg.samples_per_day
+        self._tct = np.zeros((node_count, t))
+        self._ad = np.zeros((node_count, t))
+        self._rolls = [0] * t  # completed days per sample index
+        self._clock = 0  # linear index of the open slot
+        self._neighbors: set[int] = set()
+        # plain floats: the damped sums can grow without bound over long runs
+        # and should saturate quietly at inf rather than warn
+        self._importance = [1.0 - self.damping] * t
+        self._peer_importance = [1.0 - self.damping] * node_count
+        self._peer_importance_slot = [-1] * node_count
+        self._coeff = t / (t + np.arange(t, dtype=float))  # t/(t+j), j = 0..t-1
+        self._weights_cache: tuple[int, dict[int, float]] | None = None
+
+    @property
+    def clock_slot(self) -> SampleSlot:
+        return slot_from_linear(self._clock, self.cfg)
+
+    @property
+    def current_sample(self) -> int:
+        return self._clock % self.cfg.samples_per_day
+
+    def _check_peer(self, peer: int) -> None:
+        if peer == self.owner:
+            raise ValueError("a node has no social state toward itself")
+        if not 0 <= peer < self.node_count:
+            raise ValueError(f"peer {peer} out of range")
+
+    def mark_peer_seen(self, peer: int) -> None:
+        """Add a peer to the current-sample neighbor set (contact is up)."""
+        self._check_peer(peer)
+        self._neighbors.add(peer)
+
+    def record_contact_fragment(self, peer: int, slot: SampleSlot, duration: float) -> None:
+        """Accumulate one contact fragment for (peer, slot).
+
+        Fragments for the open slot or earlier are accepted; a fragment
+        with a past slot simply joins that sample index's next fold. A
+        future slot is an ordering error.
+        """
+        self._check_peer(peer)
+        if duration <= 0:
+            raise ValueError("fragment duration must be > 0")
+        lin = slot.linear(self.cfg)
+        if lin > self._clock:
+            raise LedgerOrderingError(
+                f"fragment for future slot {slot} (clock at {self.clock_slot})"
+            )
+        self._tct[peer, slot.sample_index] += duration
+        if lin == self._clock:
+            self._neighbors.add(peer)
+
+    def roll_sample(self, finished: SampleSlot) -> None:
+        """Fold the just-finished sample into the per-day averages.
+
+        Every peer's average for that sample index advances by one day,
+        including peers with zero contact time. Rolling any slot other than
+        the open one is an ordering error.
+        """
+        lin = finished.linear(self.cfg)
+        if lin < self._clock:
+            raise LedgerOrderingError(f"slot {finished} already rolled")
+        if lin > self._clock:
+            raise LedgerOrderingError(f"slot {finished} not reached yet (clock at {self.clock_slot})")
+        i = finished.sample_index
+        j = self._rolls[i] + 1
+        self._ad[:, i] = (self._tct[:, i] + (j - 1) * self._ad[:, i]) / j
+        self._tct[:, i] = 0.0
+        self._rolls[i] = j
+        self._clock += 1
+        self._neighbors.clear()
+        self._weights_cache = None
+
+    def neighbors_in_current_sample(self) -> frozenset[int]:
+        return frozenset(self._neighbors)
+
+    def tecd_weight(self, peer: int, sample_index: int | None = None) -> float:
+        """Social strength toward a peer at the given sample (default: now).
+
+        Sums the per-day averages of the next full day of samples, starting
+        at the given one, scaled by strictly decreasing coefficients.
+        Unknown peers weigh 0.
+        """
+        self._check_peer(peer)
+        i = self.current_sample if sample_index is None else sample_index
+        t = self.cfg.samples_per_day
+        if not 0 <= i < t:
+            raise ValueError(f"sample index {i} out of range")
+        order = (i + np.arange(t)) % t
+        return float(self._ad[peer, order] @ self._coeff)
+
+    def weights_to_all_neighbors(self, sample_index: int | None = None) -> dict[int, float]:
+        """Current weights toward every known peer (zero-weight peers omitted)."""
+        i = self.current_sample if sample_index is None else sample_index
+        cache_key = (self._clock, i)
+        if self._weights_cache is not None and self._weights_cache[0] == cache_key:
+            return self._weights_cache[1]
+        t = self.cfg.samples_per_day
+        order = (i + np.arange(t)) % t
+        w = self._ad[:, order] @ self._coeff
+        weights = {int(p): float(w[p]) for p in np.nonzero(w)[0] if p != self.owner}
+        self._weights_cache = (cache_key, weights)
+        return weights
+
+    def record_peer_importance(self, peer: int, value: float) -> None:
+        """Cache the importance a peer reported at contact time."""
+        self._check_peer(peer)
+        self._peer_importance[peer] = float(value)
+        self._peer_importance_slot[peer] = self._clock
+
+    def last_known_importance(self, peer: int) -> float:
+        """Most recent importance exchanged with the peer, possibly from an
+        earlier sample; peers never met report the initial value."""
+        self._check_peer(peer)
+        return float(self._peer_importance[peer])
+
+    def update_importance(self, sample_index: int | None = None) -> float:
+        """Recompute this node's importance for the given sample (default: now).
+
+        Damped sum over the current-sample neighbor set of pair weight times
+        the neighbor's cached importance, divided by the neighbor count.
+        With no neighbors (or damping 0) this collapses to the base value.
+        """
+        i = self.current_sample if sample_index is None else sample_index
+        base = 1.0 - self.damping
+        n = len(self._neighbors)
+        total = 0.0
+        for peer in sorted(self._neighbors):
+            w = self.tecd_weight(peer, i)
+            if w > 0.0:  # zero-weight terms contribute nothing; also avoids 0 * inf
+                total += w * self._peer_importance[peer]
+        value = base + self.damping * (total / n) if n else base
+        self._importance[i] = value
+        return value
+
+    def importance(self, sample_index: int | None = None) -> float:
+        """Last computed importance for the given sample (default: now)."""
+        i = self.current_sample if sample_index is None else sample_index
+        return self._importance[i]
 
 
 class MinScanBuffer:

@@ -60,7 +60,7 @@ def test_criterion_1_equation_oracles():
         peers = rng.randint(1, 4)
         days = rng.randint(1, 4)
         damping = rng.uniform(0.0, 1.0)
-        ledger = SocialLedger(0, peers + 1, cfg, damping)
+        ledger = SocialLedger(peers + 1, cfg, damping)
         history = {(p, i): [] for p in range(1, peers + 1) for i in range(t)}
         for day in range(days):
             for i in range(t):
@@ -70,9 +70,9 @@ def test_criterion_1_equation_oracles():
                         rng.uniform(1.0, 86400 / t / 3) for _ in range(rng.randint(0, 2))
                     ]
                     for fragment in fragments:
-                        ledger.record_contact_fragment(p, slot, fragment)
+                        ledger.record_contact_fragment(0, p, slot, fragment)
                     total = sum(fragments)
-                    assert close(ledger.peer_stats(p, i).tct_current_day, total)
+                    assert close(ledger.tct[0, p, i], total)
                     history[(p, i)].append(total)
                 ledger.roll_sample(slot)
 
@@ -82,23 +82,23 @@ def test_criterion_1_equation_oracles():
         }
         for p in range(1, peers + 1):
             for i in range(t):
-                assert close(ledger.peer_stats(p, i).ad, oracle_ad[p][i])
-                assert close(ledger.tecd_weight(p, i), pair_weight(oracle_ad[p], i, t))
+                assert close(ledger.ad[0, p, i], oracle_ad[p][i])
+                assert close(ledger.weights_at(i)[0, p], pair_weight(oracle_ad[p], i, t))
                 checked += 1
 
         neighbors = sorted(p for p in range(1, peers + 1) if rng.random() < 0.7)
         cached = {}
         for p in neighbors:
-            ledger.mark_peer_seen(p)
+            ledger.mark_met(0, p)
             cached[p] = rng.uniform(1 - damping, 4.0)
-            ledger.record_peer_importance(p, cached[p])
+            ledger.record_peer_importance(0, p, cached[p])
         sample = ledger.current_sample
         expected = node_importance(
             damping,
             [pair_weight(oracle_ad[p], sample, t) for p in neighbors],
             [cached[p] for p in neighbors],
         )
-        assert close(ledger.update_importance(), expected)
+        assert close(ledger.update_importance(0), expected)
         checked += 1
     assert checked >= 1000
     print(f"PASS criterion 1: equation oracles agree on {checked} randomized configurations")
@@ -325,13 +325,13 @@ def test_criterion_7_rank_invariances():
         scale = rng.uniform(0.01, 100.0)
 
         def weights_for(factor):
-            ledger = SocialLedger(0, peers + 1, cfg)
+            ledger = SocialLedger(peers + 1, cfg)
             for i in range(4):
                 for p, row in ad.items():
                     if row[i] > 0:
-                        ledger.record_contact_fragment(p, SampleSlot(0, i), factor * row[i])
+                        ledger.record_contact_fragment(0, p, SampleSlot(0, i), factor * row[i])
                 ledger.roll_sample(SampleSlot(0, i))
-            return ledger.weights_to_all_neighbors(0)
+            return ledger.weights_to_all_neighbors(0)  # at sample 0: the clock is on day 1
 
         base_w = weights_for(1.0)
         scaled_w = weights_for(scale)

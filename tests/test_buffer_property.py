@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dtnsim import NodeRuntime, SampleConfig, SocialLedger, buffer_admit, messages_from_workload
+from dtnsim import NodeRuntime, buffer_admit, messages_from_workload
 from dtnsim.workload import WorkloadEntry
 
 from oracles import MinScanBuffer
@@ -26,7 +26,7 @@ entry = st.builds(
 @given(entries=st.lists(entry, min_size=1, max_size=40), data=st.data())
 def test_buffer_matches_min_scan_model(drop_policy, entries, data):
     messages = messages_from_workload(entries, ttl=100.0)
-    node = NodeRuntime(0, CAPACITY, SocialLedger(0, 2, SampleConfig(24, 86400)))
+    node = NodeRuntime(0, CAPACITY)
     model = MinScanBuffer(CAPACITY)
     for _ in range(data.draw(st.integers(1, 60), label="steps")):
         held = sorted(model.buffer)

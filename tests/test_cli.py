@@ -82,6 +82,23 @@ def test_run_rejects_non_finite_settings_at_load(tmp_path, capsys, key, value, p
     assert not (tmp_path / "res" / "results.csv").exists()
 
 
+@pytest.mark.parametrize("key,value,path", [
+    ("trace_format", "hagle", "trace_format"),
+    ("workload", {"count": 15, "window": [0.0, 86400.0], "max_sizes": 5}, "workload.max_sizes"),
+    ("workload", {"count": 15, "window": [86400.0, 0.0]}, "workload.window"),
+    ("workload", {"count": 15, "window": [0.0, 86400.0], "min_size": -1}, "workload.min_size"),
+])
+def test_run_rejects_bad_inputs_at_load(tmp_path, capsys, key, value, path):
+    write_routine_spec(tmp_path / "routine.json")
+    cfg_path = write_config(tmp_path / "plan.json", "res")
+    raw = json.loads(cfg_path.read_text())
+    raw[key] = value
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_USAGE
+    assert f"config error: {path}:" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
 def test_run_dump_ledgers(tmp_path):
     write_routine_spec(tmp_path / "routine.json")
     cfg = write_config(tmp_path / "plan.json", "res")

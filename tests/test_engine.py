@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -8,7 +9,6 @@ from dtnsim import (
     ContactTrace,
     Message,
     NodeRuntime,
-    SampleConfig,
     SimConfig,
     SimStartupError,
     Simulation,
@@ -56,7 +56,7 @@ def simple_cfg(trace, workload, **overrides):
 
 
 def _node(capacity=2_000_000):
-    return NodeRuntime(0, capacity, SocialLedger(0, 2, SampleConfig(24, 86400)))
+    return NodeRuntime(0, capacity)
 
 
 def _msg(mid, size, created=0.0):
@@ -277,9 +277,25 @@ def test_ledger_reads_only_for_routers_that_use_them(monkeypatch, router, reads)
     for name in ("weights_to_all_neighbors", "importance"):
         monkeypatch.setattr(SocialLedger, name, counted(name))
     trace = trace_of([(0, 1, 100.0, 200.0), (0, 2, 300.0, 400.0)])
-    log = run_simulation(simple_cfg(trace, entries((0.0, 0, 2, 1000)), router=router))
+    sim = Simulation(simple_cfg(trace, entries((0.0, 0, 2, 1000)), router=router))
+    log = sim.run()
     assert kinds(log, KIND_DELIVERED)  # decisions ran
     assert sorted(set(calls)) == (["importance", "weights_to_all_neighbors"] if reads else [])
+    # the table is built only for the routers that read it
+    assert (sim.ledger is not None) == reads
+
+
+def test_ledger_built_for_charged_summaries_and_dumps():
+    trace = trace_of([(0, 1, 100.0, 200.0)])
+    plain = simple_cfg(trace, entries((0.0, 0, 1, 1000)))
+    assert Simulation(plain).ledger is None
+    assert Simulation(plain, keep_ledger=True).ledger is not None
+    # summaries cost link time only on a finite link, so only then is it read
+    assert Simulation(replace(plain, charge_summaries=True)).ledger is None
+    charged = replace(plain, charge_summaries=True, bandwidth=8000.0)
+    assert Simulation(charged).ledger is not None
+    with pytest.raises(ValueError, match="keeps no ledger"):
+        Simulation(plain).final_ledger()
 
 
 def test_startup_validation():
@@ -349,12 +365,12 @@ def test_sim_config_template_needs_no_inputs():
 
 def test_epoch_auto_floors_to_day_boundary():
     trace = trace_of([(0, 1, 90000.0, 90100.0)])
-    sim = Simulation(simple_cfg(trace, ()))
+    sim = Simulation(simple_cfg(trace, ()), keep_ledger=True)
     assert sim.epoch == 86400.0
     sim.run()
     # relative slot: hour 1 of day 0; the slot is still open, so the
     # accumulated time has not been folded into the average yet
-    assert sim.nodes[0].ledger.peer_stats(1, 1).tct_current_day == 100.0
+    assert sim.ledger.tct[0, 1, 1] == 100.0
 
 
 def test_dlifecomm_community_deletion_run():
@@ -396,18 +412,36 @@ def test_rolls_and_recomputes_are_pushed_one_at_a_time():
 def test_chained_rolls_reach_the_horizon():
     # the horizon is the expiry, 3.6e4 s + 1 day = 122,400 s: 34 hourly rolls
     trace = trace_of([(0, 1, 100.0, 200.0)])
-    sim = Simulation(simple_cfg(trace, entries((3.6e4, 0, 1, 500)), router="bubblerap"))
+    sim = Simulation(
+        simple_cfg(trace, entries((3.6e4, 0, 1, 500)), router="bubblerap"), keep_ledger=True
+    )
     sim.run()
-    assert [node.ledger._clock for node in sim.nodes] == [34, 34]
+    assert sim.final_ledger().clock == 34
+
+
+def test_ledger_clock_stops_at_the_last_contact_end():
+    # one message created about 11 years after the only contact: no roll
+    # falls within the contact, so the run makes none, and logs the creation
+    # and the expiry
+    trace = trace_of([(0, 1, 100.0, 200.0)])
+    sim = Simulation(simple_cfg(trace, entries((3.6e8, 0, 1, 500)), router="dlife"))
+    log = sim.run()
+    assert sim.ledger.clock == 0
+    assert [(r.time, r.kind) for r in log] == [
+        (3.6e8, KIND_CREATED), (3.6e8 + DAY, KIND_EXPIRED)
+    ]
 
 
 def test_ledger_dump_reaches_the_horizon():
     # the dump of the chained-roll run: sample 0 rolled on days 0 and 1, so
-    # the 100 s contact averages 50 s there; ten more hourly rolls on day 1
+    # the 100 s contact averages 50 s there; ten more hourly rolls on day 1.
+    # The run stops rolling at the contact's end; the dump rolls on.
     trace = trace_of([(0, 1, 100.0, 200.0)])
     sim = Simulation(simple_cfg(trace, entries((3.6e4, 0, 1, 500)), router="dlife"))
     assert len(sim.run()) == 2
-    pair_csv, imp_csv = dump_ledgers_csv(node.ledger for node in sim.nodes)
+    assert sim.ledger.clock == 0
+    pair_csv, imp_csv = dump_ledgers_csv(sim.final_ledger())
+    assert sim.ledger.clock == 34
     assert pair_csv.splitlines()[1] == "0,1,0,50.0,50.0"
     assert hashlib.sha256(pair_csv.encode()).hexdigest() == (
         "c7a1fdfcca5c7fcc578b9faadcd3143ad9a517fe3396d4e1f4cb56ced1a00242"

@@ -3,11 +3,21 @@ import importlib.util
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
-from dtnsim import ContactEvent, ContactTrace, SimConfig, SimStartupError, serialize_contact_trace
+from dtnsim import (
+    ContactEvent,
+    ContactTrace,
+    SimConfig,
+    SimStartupError,
+    Simulation,
+    SocialLedger,
+    WorkloadEntry,
+    serialize_contact_trace,
+)
 from dtnsim.experiment import (
     ConfigError,
     ResultRow,
@@ -127,6 +137,17 @@ def test_knobs_must_be_finite_and_positive(knob, value):
     ("seeds", [1, 2.5], "seeds[1]"),
     ("routers", ["dlife", "dlife"], "routers"),
     ("workload", {"count": "many", "window": [0.0, 86400.0]}, "workload.count"),
+    ("trace_format", "hagle", "trace_format"),
+    ("workload", {"count": 20, "window": [0.0, 86400.0], "max_sizes": 5}, "workload.max_sizes"),
+    ("workload", {"count": 20}, "workload.window"),
+    ("workload", {"count": 20, "window": [86400.0, 0.0]}, "workload.window"),
+    ("workload", {"count": 20, "window": [0.0]}, "workload.window"),
+    ("workload", {"count": 20, "window": [0.0, math.inf]}, "workload.window"),
+    ("workload", {"count": 20, "window": [0.0, "1"]}, "workload.window[1]"),
+    ("workload", {"count": 20, "window": [0, 1], "min_size": 0}, "workload.min_size"),
+    ("workload", {"count": 20, "window": [0, 1], "min_size": 500, "max_size": 100},
+     "workload.min_size"),
+    ("workload", {"count": 20, "window": [0, 1], "max_size": 1.5}, "workload.max_size"),
 ])
 def test_loader_rejects_unknown_keys_and_wrong_types(key, value, path):
     raw = base_config()
@@ -134,6 +155,15 @@ def test_loader_rejects_unknown_keys_and_wrong_types(key, value, path):
     with pytest.raises(ConfigError) as err:
         load_experiment_config(raw, ".")
     assert err.value.field_path == path
+
+
+def test_loader_reads_the_workload_generator():
+    raw = base_config()
+    raw["workload"] = {"count": 20.0, "window": [0, 86400], "min_size": 10, "max_size": 20}
+    cfg = load_experiment_config(raw, ".")
+    assert cfg.workload_gen == {"count": 20, "window": (0.0, 86400.0), "size_range": (10, 20)}
+    _, workload = materialize_scenario(cfg, 1)
+    assert len(workload) == 20 and all(10 <= e.size <= 20 for e in workload)
 
 
 def test_loader_keeps_engine_types():
@@ -145,20 +175,49 @@ def test_loader_keeps_engine_types():
     assert all(type(v) is float for v in (sim.damping, sim.bandwidth, sim.epoch))
 
 
-def _load_bench_plans():
-    path = Path(__file__).resolve().parent.parent / "bench" / "plans.py"
-    spec = importlib.util.spec_from_file_location("bench_plans", path)
-    plans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(plans)
-    return plans
+def _load_bench_module(name):
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_benchmark_plans_load(tmp_path):
-    plans = _load_bench_plans()
+    plans = _load_bench_module("plans")
     for workload in plans.WORKLOADS:
         raw = plans.prepare(workload, 1, tmp_path)
         cfg = load_experiment_config(dict(raw, out="out"), tmp_path)
         assert cfg.sim.buffer_capacity == raw["buffer_capacity"]
+
+
+def test_benchmark_tracer_wraps_live_names():
+    # The benchmark's tracer wraps engine methods by name and skips a name
+    # that no longer exists, which would read 0 for that layer's metrics.
+    tracing = _load_bench_module("tracing")
+    trace = ContactTrace.from_events(
+        [ContactEvent(0, 1, 100.0, 4000.0), ContactEvent(1, 2, 4100.0, 4200.0)]
+    )
+    cfg = SimConfig(trace=trace, workload=(WorkloadEntry(0.0, 0, 2, 1000),), router="dlife")
+    original = SocialLedger.__dict__["roll_sample"]
+    with tracing.Tracer() as tracer:
+        assert SocialLedger.__dict__["roll_sample"] is not original
+        log = Simulation(cfg).run()
+        log.to_csv()
+        log.to_ndjson()
+    assert SocialLedger.__dict__["roll_sample"] is original  # restored
+    wrapped = [
+        "ledger.fragment", "ledger.roll", "ledger.importance", "ledger.weights",
+        "routing.decide", "engine.init", "engine.run", "engine.recompute", "engine.admit",
+        "engine.transfer", "eventlog.csv", "eventlog.ndjson",
+    ]
+    assert [key for key in wrapped if key not in tracer.stats] == []
+    # and the dlife run reaches each ledger and decision name
+    metrics = tracer.layer_metrics()
+    for name in ("ledger.fragment", "ledger.roll", "ledger.importance", "ledger.weights",
+                 "routing.decide", "engine.admit"):
+        assert metrics[f"{name}_calls"][0] > 0, name
 
 
 def test_readme_example_sets_every_engine_field(tmp_path):

@@ -96,8 +96,8 @@ GOLDEN_CHARGED = {
 # dlife, unlimited bandwidth, oldest first, with the ledger dump:
 # (ledger_pairs.csv sha256, ledger_importance.csv sha256)
 GOLDEN_LEDGER_DUMP = (
-    "ddc5fd2946f26e9804e0a9acf982a5287d8807b720040ff6aa9f20a0010f4bac",
-    "13afeb338553c4e516e13e60622ddc3d1a7583172fbe1e443351e19de8daa6df",
+    "bc607c83cc25db4d9728e062895efb57cce22a7d668df5103e984b9ed9b8079b",
+    "bc6586daf7a51733fbefd9c8071d33dd14738a9e8108868e75a4a2270894f0a0",
 )
 
 
@@ -153,5 +153,5 @@ def test_golden_ledger_dump(scenario):
         desk_sim_config(trace, workload, "dlife", ttl=DAY, seed=5, buffer_capacity=GOLDEN_CAPACITY)
     )
     sim.run()
-    pair_csv, imp_csv = dump_ledgers_csv(node.ledger for node in sim.nodes)
+    pair_csv, imp_csv = dump_ledgers_csv(sim.final_ledger())
     assert (sha256(pair_csv), sha256(imp_csv)) == GOLDEN_LEDGER_DUMP

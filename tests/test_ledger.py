@@ -12,43 +12,49 @@ CFG4 = SampleConfig(4, 86400)
 
 
 def _ledger(node_count=4, cfg=CFG4, damping=0.8):
-    return SocialLedger(0, node_count, cfg, damping)
+    return SocialLedger(node_count, cfg, damping)
 
 
 def seed_ad(ledger: SocialLedger, ad: dict[int, list[float]]) -> None:
-    """Drive one full day through the public API so the per-day averages end
-    up exactly at the requested values (first fold: average == the value)."""
+    """Drive one full day through the public API so node 0's per-day
+    averages end up exactly at the requested values (first fold: average ==
+    the value)."""
     t = ledger.cfg.samples_per_day
     for i in range(t):
         for peer, row in ad.items():
             if row[i] > 0:
-                ledger.record_contact_fragment(peer, SampleSlot(0, i), row[i])
+                ledger.record_contact_fragment(0, peer, SampleSlot(0, i), row[i])
         ledger.roll_sample(SampleSlot(0, i))
+
+
+def weight(ledger: SocialLedger, peer: int, sample: int | None = None) -> float:
+    """Node 0's weight toward the peer at the sample (default: now)."""
+    return float(ledger.weights_at(ledger.current_sample if sample is None else sample)[0, peer])
 
 
 def test_fragments_accumulate():
     led = _ledger()
-    led.record_contact_fragment(1, SampleSlot(0, 0), 100.0)
-    led.record_contact_fragment(1, SampleSlot(0, 0), 200.0)
-    assert led.peer_stats(1, 0).tct_current_day == 300.0
+    led.record_contact_fragment(0, 1, SampleSlot(0, 0), 100.0)
+    led.record_contact_fragment(0, 1, SampleSlot(0, 0), 200.0)
+    assert led.tct[0, 1, 0] == 300.0
     with pytest.raises(ValueError):
-        led.record_contact_fragment(1, SampleSlot(0, 0), 0.0)
+        led.record_contact_fragment(0, 1, SampleSlot(0, 0), 0.0)
 
 
 def test_fragments_per_sample_independent():
-    led = SocialLedger(0, 3, SampleConfig(24, 86400))
+    led = SocialLedger(3, SampleConfig(24, 86400))
     for i in range(8):
         led.roll_sample(SampleSlot(0, i))
-    led.record_contact_fragment(1, SampleSlot(0, 7), 50.0)  # past slot: accepted
-    led.record_contact_fragment(1, SampleSlot(0, 8), 70.0)
-    assert led.peer_stats(1, 7).tct_current_day == 50.0
-    assert led.peer_stats(1, 8).tct_current_day == 70.0
+    led.record_contact_fragment(0, 1, SampleSlot(0, 7), 50.0)  # past slot: accepted
+    led.record_contact_fragment(0, 1, SampleSlot(0, 8), 70.0)
+    assert led.tct[0, 1, 7] == 50.0
+    assert led.tct[0, 1, 8] == 70.0
 
 
 def test_future_fragment_and_double_roll_rejected():
     led = _ledger()
     with pytest.raises(LedgerOrderingError):
-        led.record_contact_fragment(1, SampleSlot(0, 1), 10.0)
+        led.record_contact_fragment(0, 1, SampleSlot(0, 1), 10.0)
     led.roll_sample(SampleSlot(0, 0))
     with pytest.raises(LedgerOrderingError):
         led.roll_sample(SampleSlot(0, 0))
@@ -58,37 +64,37 @@ def test_future_fragment_and_double_roll_rejected():
 
 def test_roll_examples():
     led = _ledger()
-    led.record_contact_fragment(1, SampleSlot(0, 0), 100.0)
+    led.record_contact_fragment(0, 1, SampleSlot(0, 0), 100.0)
     led.roll_sample(SampleSlot(0, 0))
-    assert led.peer_stats(1, 0).ad == 100.0  # (100 + 0) / 1
+    assert led.ad[0, 1, 0] == 100.0  # (100 + 0) / 1
     for i in range(1, 4):
         led.roll_sample(SampleSlot(0, i))
-    led.record_contact_fragment(1, SampleSlot(1, 0), 200.0)
+    led.record_contact_fragment(0, 1, SampleSlot(1, 0), 200.0)
     led.roll_sample(SampleSlot(1, 0))
-    assert led.peer_stats(1, 0).ad == 150.0  # (200 + 1*100) / 2
-    assert led.peer_stats(1, 0).days_counted == 2
+    assert led.ad[0, 1, 0] == 150.0  # (200 + 1*100) / 2
+    assert led.rolls[0] == 2
 
 
 def test_zero_contact_days_decay_and_zero_fixed_point():
     led = _ledger()
-    led.record_contact_fragment(1, SampleSlot(0, 0), 400.0)
+    led.record_contact_fragment(0, 1, SampleSlot(0, 0), 400.0)
     for day in range(4):
         for i in range(4):
             led.roll_sample(SampleSlot(day, i))
     # three zero-contact days still advance the average: 400 over 4 days
-    assert led.peer_stats(1, 0).ad == pytest.approx(100.0, rel=1e-12)
-    assert led.peer_stats(1, 0).days_counted == 4
-    assert led.peer_stats(2, 0).ad == 0.0  # never met: zero forever
+    assert led.ad[0, 1, 0] == pytest.approx(100.0, rel=1e-12)
+    assert led.rolls[0] == 4
+    assert led.ad[0, 2, 0] == 0.0  # never met: zero forever
 
 
 def test_constant_tct_is_fixed_point():
     led = _ledger(cfg=SampleConfig(2, 86400))
     for day in range(6):
         for i in range(2):
-            led.record_contact_fragment(1, SampleSlot(day, i), 1800.0)
+            led.record_contact_fragment(0, 1, SampleSlot(day, i), 1800.0)
             led.roll_sample(SampleSlot(day, i))
-    assert led.peer_stats(1, 0).ad == 1800.0
-    assert led.peer_stats(1, 1).ad == 1800.0
+    assert led.ad[0, 1, 0] == 1800.0
+    assert led.ad[0, 1, 1] == 1800.0
 
 
 def test_decay_coefficients_shape():
@@ -99,15 +105,15 @@ def test_decay_coefficients_shape():
 
 
 def test_weight_examples():
-    led = SocialLedger(0, 2, SampleConfig(24, 86400))
-    assert led.tecd_weight(1) == 0.0  # unknown peer
+    led = SocialLedger(2, SampleConfig(24, 86400))
+    assert weight(led, 1) == 0.0  # unknown peer
     seed_ad(led, {1: [3600.0 if i == 5 else 0.0 for i in range(24)]})
-    assert led.tecd_weight(1, 5) == 3600.0  # coefficient at the own sample is 1
+    assert weight(led, 1, 5) == 3600.0  # coefficient at the own sample is 1
 
     led4 = _ledger()
     seed_ad(led4, {1: [100.0, 200.0, 0.0, 400.0]})
     expected = 100.0 + 4 / 5 * 200.0 + 0.0 + 4 / 7 * 400.0
-    assert math.isclose(led4.tecd_weight(1, 0), expected, rel_tol=1e-12)
+    assert math.isclose(weight(led4, 1, 0), expected, rel_tol=1e-12)
     assert math.isclose(expected, 488.5714285714286, rel_tol=1e-12)
 
 
@@ -120,41 +126,41 @@ def test_weight_linearity_and_monotonicity():
         bigger = [v + rng.uniform(0, 100) for v in base]
         bigger[rng.randrange(t)] += 1.0  # strict somewhere
         scale = rng.uniform(0.1, 10)
-        led = SocialLedger(0, 4, cfg)
+        led = SocialLedger(4, cfg)
         seed_ad(led, {1: base, 2: bigger, 3: [scale * v for v in base]})
         i = rng.randrange(t)
-        w1 = led.tecd_weight(1, i)
-        w2 = led.tecd_weight(2, i)
-        w3 = led.tecd_weight(3, i)
+        w1 = weight(led, 1, i)
+        w2 = weight(led, 2, i)
+        w3 = weight(led, 3, i)
         assert w2 > w1
         assert math.isclose(w3, scale * w1, rel_tol=1e-9)
 
 
 def test_weight_ranking_invariant_under_scaling():
     rng = random.Random(13)
-    led_a = SocialLedger(0, 5, CFG4)
-    led_b = SocialLedger(0, 5, CFG4)
+    led_a = SocialLedger(5, CFG4)
+    led_b = SocialLedger(5, CFG4)
     rows = {p: [rng.uniform(0, 1000) for _ in range(4)] for p in (1, 2, 3, 4)}
     seed_ad(led_a, rows)
     seed_ad(led_b, {p: [7.5 * v for v in row] for p, row in rows.items()})
     for i in range(4):
-        rank_a = sorted((1, 2, 3, 4), key=lambda p: led_a.tecd_weight(p, i))
-        rank_b = sorted((1, 2, 3, 4), key=lambda p: led_b.tecd_weight(p, i))
+        rank_a = sorted((1, 2, 3, 4), key=lambda p: weight(led_a, p, i))
+        rank_b = sorted((1, 2, 3, 4), key=lambda p: weight(led_b, p, i))
         assert rank_a == rank_b
 
 
 def test_importance_examples():
-    led = SocialLedger(0, 3, CFG4, damping=0.0)
-    led.mark_peer_seen(1)
-    assert led.update_importance() == 1.0  # no damping: constant 1
+    led = SocialLedger(3, CFG4, damping=0.0)
+    led.mark_met(0, 1)
+    assert led.update_importance(0) == 1.0  # no damping: constant 1
 
-    led = SocialLedger(0, 3, CFG4, damping=0.8)
-    assert led.update_importance() == pytest.approx(0.2)  # empty neighbor set
+    led = SocialLedger(3, CFG4, damping=0.8)
+    assert led.update_importance(0) == pytest.approx(0.2)  # empty neighbor set
 
-    led = SocialLedger(0, 3, CFG4, damping=0.8)
+    led = SocialLedger(3, CFG4, damping=0.8)
     seed_ad(led, {1: [0.5, 0.0, 0.0, 0.0]})  # weight 0.5 at sample 0
-    led.mark_peer_seen(1)
-    led.record_peer_importance(1, 1.0)
+    led.mark_met(0, 1)
+    led.record_peer_importance(0, 1, 1.0)
     assert math.isclose(led.update_importance(0), 0.6, rel_tol=1e-12)
 
 
@@ -162,44 +168,44 @@ def test_importance_bounds_and_cache():
     rng = random.Random(17)
     for _ in range(100):
         d = rng.uniform(0, 1)
-        led = SocialLedger(0, 6, CFG4, damping=d)
+        led = SocialLedger(6, CFG4, damping=d)
         rows = {p: [rng.uniform(0, 2000) for _ in range(4)] for p in range(1, 6)}
         seed_ad(led, rows)
         neighbors = [p for p in range(1, 6) if rng.random() < 0.6]
         imps = {}
         for p in neighbors:
-            led.mark_peer_seen(p)
+            led.mark_met(0, p)
             imps[p] = rng.uniform(1 - d, 3.0)
-            led.record_peer_importance(p, imps[p])
-        value = led.update_importance()
+            led.record_peer_importance(0, p, imps[p])
+        value = led.update_importance(0)
         assert value >= (1 - d) - 1e-12
         if neighbors:
-            w_max = max(led.tecd_weight(p) for p in neighbors)
+            w_max = max(weight(led, p) for p in neighbors)
             i_max = max(imps.values())
             assert value <= (1 - d) + d * w_max * i_max + 1e-9
-        assert led.importance() == value
+        assert led.importance(0) == value
     # cached neighbor importance defaults to the base value before any exchange
-    led = SocialLedger(0, 2, CFG4, damping=0.8)
-    assert led.last_known_importance(1) == pytest.approx(0.2)
+    led = SocialLedger(2, CFG4, damping=0.8)
+    assert led.last_known_importance(0, 1) == pytest.approx(0.2)
 
 
 def test_neighbor_set_resets_on_roll():
     led = _ledger()
-    led.mark_peer_seen(1)
-    led.record_contact_fragment(2, SampleSlot(0, 0), 5.0)
-    assert led.neighbors_in_current_sample() == {1, 2}
+    led.mark_met(0, 1)
+    led.record_contact_fragment(0, 2, SampleSlot(0, 0), 5.0)
+    assert led.neighbors[0] == {1, 2}
     led.roll_sample(SampleSlot(0, 0))
-    assert led.neighbors_in_current_sample() == frozenset()
+    assert led.neighbors[0] == set()
 
 
 def test_ledger_dump_csv():
     led = _ledger()
     seed_ad(led, {1: [100.0, 0.0, 0.0, 0.0]})
-    pair_csv, imp_csv = dump_ledgers_csv([led])
+    pair_csv, imp_csv = dump_ledgers_csv(led)
     assert pair_csv.splitlines()[0] == "node,peer,sample,ad,weight"
     assert imp_csv.splitlines()[0] == "node,sample,importance"
     assert any(line.startswith("0,1,0,100.0") for line in pair_csv.splitlines())
-    assert len(imp_csv.splitlines()) == 1 + 4
+    assert len(imp_csv.splitlines()) == 1 + 4 * led.node_count  # every node's samples
 
 
 def test_against_formula_oracles_small():
@@ -207,19 +213,29 @@ def test_against_formula_oracles_small():
     for _ in range(50):
         t = rng.choice([2, 3, 4, 6])
         cfg = SampleConfig(t, 86400)
-        led = SocialLedger(0, 3, cfg)
+        led = SocialLedger(3, cfg)
         days = rng.randint(1, 5)
         history = {i: [] for i in range(t)}
         for day in range(days):
             for i in range(t):
                 tct = rng.choice([0.0, rng.uniform(1, 3600)])
                 if tct:
-                    led.record_contact_fragment(1, SampleSlot(day, i), tct)
+                    led.record_contact_fragment(0, 1, SampleSlot(day, i), tct)
                 history[i].append(tct)
                 led.roll_sample(SampleSlot(day, i))
         ad_row = [cumulative_average(history[i]) for i in range(t)]
         for i in range(t):
-            assert math.isclose(led.peer_stats(1, i).ad, ad_row[i], rel_tol=1e-12, abs_tol=1e-12)
+            assert math.isclose(led.ad[0, 1, i], ad_row[i], rel_tol=1e-12, abs_tol=1e-12)
             assert math.isclose(
-                led.tecd_weight(1, i), pair_weight(ad_row, i, t), rel_tol=1e-9, abs_tol=1e-12
+                weight(led, 1, i), pair_weight(ad_row, i, t), rel_tol=1e-9, abs_tol=1e-12
             )
+
+
+def test_fragment_lands_on_both_sides_and_checks_the_pair():
+    led = _ledger()
+    led.record_contact_fragment(2, 3, SampleSlot(0, 0), 60.0)
+    assert led.tct[2, 3, 0] == led.tct[3, 2, 0] == 60.0
+    assert led.neighbors[2] == {3} and led.neighbors[3] == {2}
+    for a, b in ((1, 1), (0, 4), (-1, 2)):
+        with pytest.raises(ValueError):
+            led.record_contact_fragment(a, b, SampleSlot(0, 0), 1.0)

@@ -1,0 +1,89 @@
+"""Random fragment, roll and contact-start sequences through the ledger
+table and through one per-node reference ledger per node must keep the same
+averages, neighbor sets and weights, and importance equal up to rounding.
+
+Importance is not compared bit for bit. The table reads each pair weight
+from its one N x N weight matrix, whose rows round like the reference's
+per-node matrix-vector product (`weights_to_all_neighbors`). The reference's
+`update_importance` instead takes each weight from `tecd_weight`, a per-pair
+dot product that can round the same sum differently in the last bit; the
+difference then travels through every importance value exchanged later.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dtnsim import SampleConfig, SocialLedger
+from dtnsim.contacts import slot_from_linear
+
+from oracles import PerNodeLedger
+
+duration = st.one_of(
+    st.floats(min_value=1e-3, max_value=3600.0),
+    st.sampled_from([0.5, 1800.0, 1e150]),  # 1e150 drives importance to inf
+)
+
+
+def same_importance(table_value, model_value):
+    if math.isinf(model_value) or math.isinf(table_value):
+        return table_value == model_value
+    return math.isclose(table_value, model_value, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("samples_per_day", [1, 3, 24])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_table_matches_per_node_ledgers(samples_per_day, data):
+    cfg = SampleConfig(samples_per_day, 86400)
+    n = data.draw(st.integers(2, 6), label="nodes")
+    damping = data.draw(st.sampled_from([0.0, 0.5, 0.8, 1.0]), label="damping")
+    table = SocialLedger(n, cfg, damping)
+    model = [PerNodeLedger(i, n, cfg, damping) for i in range(n)]
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    for _ in range(data.draw(st.integers(1, 60), label="steps")):
+        step = data.draw(st.sampled_from(["fragment", "roll", "start", "seen"]), label="step")
+        clock = table.clock
+        if step == "roll":
+            slot = slot_from_linear(clock, cfg)
+            for ledger in model:
+                ledger.roll_sample(slot)
+            table.roll_sample(slot)
+            continue
+        a, b = data.draw(pair, label="pair")
+        if step == "fragment":
+            lin = clock - data.draw(st.integers(0, min(clock, 2 * samples_per_day)), label="back")
+            slot = slot_from_linear(lin, cfg)
+            d = data.draw(duration, label="duration")
+            model[a].record_contact_fragment(b, slot, d)
+            model[b].record_contact_fragment(a, slot, d)
+            table.record_contact_fragment(a, b, slot, d)
+        elif step == "seen":
+            model[a].mark_peer_seen(b)
+            model[b].mark_peer_seen(a)
+            table.mark_met(a, b)
+        else:  # a contact comes up: the importance exchange
+            model[a].mark_peer_seen(b)
+            model[b].mark_peer_seen(a)
+            ia = model[a].update_importance()
+            ib = model[b].update_importance()
+            model[a].record_peer_importance(b, ib)
+            model[b].record_peer_importance(a, ia)
+            table.meet(a, b)
+
+        for node, ledger in enumerate(model):
+            assert table.clock == ledger._clock
+            assert (table.tct[node] == ledger._tct).all()
+            assert (table.ad[node] == ledger._ad).all()
+            assert table.neighbors[node] == ledger.neighbors_in_current_sample()
+            assert table.weights_to_all_neighbors(node) == ledger.weights_to_all_neighbors()
+            for i in range(samples_per_day):
+                assert same_importance(table.importance(node, i), ledger.importance(i))
+            for peer in range(n):
+                if peer != node:
+                    assert same_importance(
+                        table.last_known_importance(node, peer),
+                        ledger.last_known_importance(peer),
+                    )
