@@ -45,6 +45,7 @@ from .routing import (
     CarrierState,
     PeerSummary,
     ROUTER_NAMES,
+    ROUTERS,
     RouterDecision,
     bubblerap_on_contact,
     decide,
@@ -59,7 +60,6 @@ from .socialgraph import (
     build_familiar_graph,
     centrality_csv,
     communities_json,
-    cumulative_window_centrality,
     k_clique_communities,
 )
 from .workload import (

@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from .contacts import (
+    TRACE_FORMATS,
     RoutineSpec,
     TraceFormatError,
     generate_routine_trace,
@@ -87,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ct = sub.add_parser("convert-trace", help="convert a trace to canonical CSV")
     ct.add_argument("--in", dest="input", required=True)
-    ct.add_argument("--format", choices=("csv", "haggle"), default="haggle")
+    ct.add_argument("--format", choices=TRACE_FORMATS, default="haggle")
     ct.add_argument("--out", required=True)
     return parser
 

@@ -163,7 +163,8 @@ def parse_contact_trace(text: str | bytes, fmt: str = "csv") -> tuple[ContactTra
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     if fmt not in TRACE_FORMATS:
-        raise ValueError(f"unknown trace format {fmt!r} (expected 'csv' or 'haggle')")
+        expected = " or ".join(map(repr, TRACE_FORMATS))
+        raise ValueError(f"unknown trace format {fmt!r} (expected {expected})")
 
     raw: list[tuple[int, int, float, float]] = []
     header_seen = False

@@ -184,53 +184,45 @@ class SimConfig:
 
 
 class NodeRuntime:
-    """One simulated node's bounded buffer.
+    """One simulated node's bounded buffer, keyed by workload row.
 
-    The buffer is kept in `Message.order_key` order as messages come and go,
-    so eviction takes an end of it and `messages_by_creation` never sorts.
+    The buffer keeps two records of the same messages: `buffer`, row to
+    message, and `ordered`, in `Message.order_key` order as messages come
+    and go, so eviction takes an end of it and a decision reads it as is.
     """
 
     def __init__(self, node_id: int, capacity: int):
         self.node_id = node_id
         self.capacity = capacity
-        self.buffer: dict[str, Message] = {}
+        self.buffer: dict[int, Message] = {}
+        self.ordered: list[Message] = []
         self.occupancy = 0
-        # messages this node received as final recipient; advertised in its
-        # summary so carriers do not replicate them again
-        self.delivered_ids: set[str] = set()
-        self._ordered: list[Message] = []  # the buffer, ascending order_key
-        self._snapshot: tuple[Message, ...] | None = None
+        # rows of the messages this node received as final recipient;
+        # advertised in its summary so carriers do not replicate them again
+        self.delivered: set[int] = set()
 
-    def holds(self, msg_id: str) -> bool:
-        return msg_id in self.buffer
+    def holds(self, row: int) -> bool:
+        return row in self.buffer
 
     def add(self, m: Message) -> None:
-        if m.id in self.buffer:
+        if m.row in self.buffer:
             raise ValueError(f"duplicate message {m.id} in buffer of node {self.node_id}")
-        self.buffer[m.id] = m
-        insort(self._ordered, m, key=_ORDER_KEY)
+        self.buffer[m.row] = m
+        insort(self.ordered, m, key=_ORDER_KEY)
         self.occupancy += m.size
-        self._snapshot = None
 
-    def remove(self, msg_id: str) -> Message:
-        m = self.buffer.pop(msg_id)
-        del self._ordered[bisect_left(self._ordered, m.order_key, key=_ORDER_KEY)]
+    def remove(self, row: int) -> Message:
+        m = self.buffer.pop(row)
+        del self.ordered[bisect_left(self.ordered, m.order_key, key=_ORDER_KEY)]
         self.occupancy -= m.size
-        self._snapshot = None
         return m
 
     def evict(self, newest: bool) -> Message:
         """Remove and return the oldest (or the newest) buffered message."""
-        m = self._ordered.pop(-1 if newest else 0)
-        del self.buffer[m.id]
+        m = self.ordered.pop(-1 if newest else 0)
+        del self.buffer[m.row]
         self.occupancy -= m.size
-        self._snapshot = None
         return m
-
-    def messages_by_creation(self) -> tuple[Message, ...]:
-        if self._snapshot is None:
-            self._snapshot = tuple(self._ordered)
-        return self._snapshot
 
 
 def buffer_admit(
@@ -282,24 +274,23 @@ def transfer_within_contact(
 class _OngoingContact:
     """Book-keeping for a contact that is currently up."""
 
-    def __init__(self, event: ContactEvent, index: int):
+    def __init__(self, event: ContactEvent, busy_until: float):
         self.event = event
-        self.index = index
-        self.busy_until = event.start
+        self.busy_until = busy_until
         a, b = event.node_a, event.node_b
-        # per direction: ids committed to this contact (done, in flight, or abandoned)
-        self.sent: dict[tuple[int, int], set[str]] = {(a, b): set(), (b, a): set()}
-        self.aborts: list[tuple[int, int, str]] = []  # (from, to, msg id), logged at contact end
+        # per direction: rows committed to this contact (done, in flight, or abandoned)
+        self.sent: dict[tuple[int, int], set[int]] = {(a, b): set(), (b, a): set()}
+        self.aborts: list[tuple[int, int, int]] = []  # (from, to, row), logged at contact end
 
 
-def _already_held(sender: NodeRuntime, receiver: NodeRuntime, sent: set[str]) -> set[str]:
-    """The sender's message ids that the receiver buffers, was delivered, or
-    was sent on this contact. A decision asks only about the sender's
-    messages, and intersecting with their few ids costs less than a union of
-    the receiver's whole buffer and delivery history."""
+def _already_held(sender: NodeRuntime, receiver: NodeRuntime, sent: set[int]) -> set[int]:
+    """The sender's message rows that the receiver buffers, was delivered,
+    or was sent on this contact. A decision asks only about the sender's
+    messages, and intersecting with their few rows costs less than a union
+    of the receiver's whole buffer and delivery history."""
     offered = sender.buffer.keys()
     held = offered & receiver.buffer.keys()
-    held |= offered & receiver.delivered_ids
+    held |= offered & receiver.delivered
     held |= offered & sent
     return held
 
@@ -321,9 +312,8 @@ class Simulation:
             if keep_ledger or cfg.router in LEDGER_ROUTERS or self._charges_summaries
             else None
         )
-        # messages by workload row; heap entries name a message by its row
+        # messages by workload row, the only key of a message in the run
         self.rows = messages_from_workload(cfg.workload, cfg.ttl)
-        self.messages = {m.id: m for m in self.rows}
         # per message row, the nodes whose buffer holds it (bit i: node i);
         # expiry visits only these. An int takes far less memory than a set.
         self.holders: list[int] = [0] * len(self.rows)
@@ -346,8 +336,8 @@ class Simulation:
         )
         # no decision reads the ledger after the last contact ends, so the
         # run rolls it only that far (`final_ledger` rolls on to the horizon)
-        last_end = max((ev.end for ev in cfg.trace.events), default=self.epoch)
-        self._rolls_until = min(self.horizon, last_end)
+        self._last_end = max((ev.end for ev in cfg.trace.events), default=self.epoch)
+        self._rolls_until = min(self.horizon, self._last_end)
         self._heap: list[tuple] = []
         self._evals: deque[tuple[int, int, int]] = deque()  # (contact index, src, dst)
         self._evals_pending: set[tuple[int, int, int]] = set()
@@ -421,8 +411,18 @@ class Simulation:
         # handler pushes its successor, so the heap holds one of each at a
         # time, however far the horizon lies.
         cfg = self.cfg
-        length = cfg.sample.sample_length if pri == _PRI_ROLL else cfg.recompute_interval
-        limit = self._rolls_until if pri == _PRI_ROLL else self.horizon
+        if pri == _PRI_ROLL:
+            length, limit = cfg.sample.sample_length, self._rolls_until
+        else:
+            length, limit = cfg.recompute_interval, self.horizon
+            if self.epoch + n * length > self._last_end:
+                # no contact is up after the last one ends, so no decision
+                # reads a later recompute: skip to the last one, whose
+                # communities and centralities the run leaves behind
+                last = int((limit - self.epoch) // length) + 1
+                while last > n and self.epoch + last * length > limit:
+                    last -= 1
+                n = max(n, last)
         if self.epoch + n * length <= limit:
             self._push(self.epoch + n * length, pri, -1, -1, -1, n)
 
@@ -472,7 +472,7 @@ class Simulation:
         while holders:  # lowest set bit first: ascending node id
             node_id = (holders & -holders).bit_length() - 1
             holders &= holders - 1
-            self.nodes[node_id].remove(msg_id)
+            self.nodes[node_id].remove(row)
             self.log.append(LogRecord(time, KIND_EXPIRED, msg_id, node_id))
 
     def _on_transfer_complete(self, time: float, src: int, dst: int, row: int, flags: int) -> None:
@@ -484,18 +484,19 @@ class Simulation:
 
     def _receive(self, time: float, src: int, dst: int, m: Message, delete_after: bool) -> None:
         receiver = self.nodes[dst]
+        row = m.row
         if m.destination == dst:
-            receiver.delivered_ids.add(m.id)
+            receiver.delivered.add(row)
             self.log.append(LogRecord(time, KIND_REPLICATED, m.id, src, dst))
             self.log.append(LogRecord(time, KIND_DELIVERED, m.id, src, dst))
         else:
-            if not receiver.holds(m.id):
+            if not receiver.holds(row):
                 self._admit(time, receiver, m)
                 self.log.append(LogRecord(time, KIND_REPLICATED, m.id, src, dst))
                 self._queue_evals(dst)
-        if delete_after and self.nodes[src].holds(m.id):
-            self.nodes[src].remove(m.id)
-            self.holders[m.row] &= ~(1 << src)
+        if delete_after and self.nodes[src].holds(row):
+            self.nodes[src].remove(row)
+            self.holders[row] &= ~(1 << src)
             self.log.append(LogRecord(time, KIND_DELETED_COMMUNITY, m.id, src))
 
     def _admit(self, time: float, node: NodeRuntime, m: Message) -> None:
@@ -511,8 +512,8 @@ class Simulation:
         ev = oc.event
         self.ongoing_by_node[ev.node_a].discard(index)
         self.ongoing_by_node[ev.node_b].discard(index)
-        for src, dst, msg_id in oc.aborts:
-            self.log.append(LogRecord(time, KIND_ABORTED, msg_id, src, dst))
+        for src, dst, row in oc.aborts:
+            self.log.append(LogRecord(time, KIND_ABORTED, self.rows[row].id, src, dst))
         if self.ledger is not None:
             rebased = ContactEvent(ev.node_a, ev.node_b, ev.start - self.epoch, ev.end - self.epoch)
             for slot, duration in split_contact_by_samples(rebased, self.cfg.sample):
@@ -544,8 +545,7 @@ class Simulation:
 
     def _on_contact_start(self, time: float, index: int) -> None:
         ev = self.cfg.trace.events[index]
-        oc = _OngoingContact(ev, index)
-        oc.busy_until = time
+        oc = _OngoingContact(ev, time)
         self.ongoing[index] = oc
         a, b = ev.node_a, ev.node_b
         self.ongoing_by_node[a].add(index)
@@ -606,7 +606,7 @@ class Simulation:
             sender_importance = peer_importance = 0.0
         carrier = CarrierState(
             node_id=src,
-            messages=sender.messages_by_creation(),
+            messages=sender.ordered,
             weights=sender_weights,
             importance=sender_importance,
         )
@@ -624,24 +624,22 @@ class Simulation:
     def _apply_decision(
         self, oc: _OngoingContact, src: int, dst: int, time: float, decision: RouterDecision
     ) -> None:
-        delete_ids = set(decision.delete_after)
-        msgs = [self.messages[mid] for mid in decision.replicate]
-        sent = oc.sent[(src, dst)]
+        # every offered row is committed to this contact: done, in flight, or
+        # aborted because the link is saturated, which is not retried
+        oc.sent[(src, dst)].update(decision.replicate)
+        delete_rows = set(decision.delete_after)
+        msgs = [self.rows[row] for row in decision.replicate]
         if self.cfg.bandwidth is None:
             for m in msgs:
-                sent.add(m.id)
-                self._receive(time, src, dst, m, delete_after=m.id in delete_ids)
+                self._receive(time, src, dst, m, delete_after=m.row in delete_rows)
             return
         completed, aborted = transfer_within_contact(
             oc.event, msgs, self.cfg.bandwidth, start=max(time, oc.busy_until)
         )
         for m, done in completed:
-            sent.add(m.id)
             oc.busy_until = done
-            self._push(done, _PRI_TRANSFER, src, dst, m.row, int(m.id in delete_ids))
-        for m in aborted:
-            sent.add(m.id)  # the link is saturated for this contact; do not retry
-            oc.aborts.append((src, dst, m.id))
+            self._push(done, _PRI_TRANSFER, src, dst, m.row, int(m.row in delete_rows))
+        oc.aborts.extend((src, dst, m.row) for m in aborted)
 
 
 def run_simulation(cfg: SimConfig) -> EventLog:

@@ -202,7 +202,8 @@ def load_experiment_config(raw: Mapping, base_dir: Path | str = ".") -> Experime
     trace_path = routine = None
     trace_format = _string("trace_format", raw.get("trace_format", "csv"))
     if trace_format not in TRACE_FORMATS:
-        raise ConfigError("trace_format", f"{trace_format!r} is unknown (valid: csv, haggle)")
+        valid = ", ".join(TRACE_FORMATS)
+        raise ConfigError("trace_format", f"{trace_format!r} is unknown (valid: {valid})")
     if isinstance(trace, str):
         trace_path = base / trace
         if not trace_path.exists():

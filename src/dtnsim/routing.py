@@ -10,12 +10,11 @@ to the destination itself bypasses every comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Mapping
+from typing import Container, Mapping, Sequence
 
 from .socialgraph import CentralityTable, CommunityMap
 from .workload import Message
 
-ROUTER_NAMES = ("dlife", "dlifecomm", "bubblerap", "epidemic")
 # the routers that read `weights` and `importance` of CarrierState and
 # PeerSummary; the engine reads the ledgers only for these
 LEDGER_ROUTERS = ("dlife", "dlifecomm")
@@ -26,20 +25,21 @@ COMMUNITY_ROUTERS = ("dlifecomm", "bubblerap")
 
 @dataclass(frozen=True)
 class RouterDecision:
-    """What to copy to the peer, and which copies the carrier drops after a
-    successful transfer."""
+    """The workload rows of the messages to copy to the peer, and of the
+    copies the carrier drops after a successful transfer."""
 
-    replicate: tuple[str, ...]
-    delete_after: tuple[str, ...] = ()
+    replicate: tuple[int, ...]
+    delete_after: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
 class CarrierState:
-    """The deciding node: its buffered messages in creation-time order, its
-    current-sample weights toward known peers, and its importance."""
+    """The deciding node: its buffered messages in creation-time order (the
+    buffer's own list, read only during the decision), its current-sample
+    weights toward known peers, and its importance."""
 
     node_id: int
-    messages: tuple[Message, ...]
+    messages: Sequence[Message]
     weights: Mapping[int, float]
     importance: float
 
@@ -47,44 +47,57 @@ class CarrierState:
 @dataclass(frozen=True)
 class PeerSummary:
     """What the encountered node reports at contact time: weights toward all
-    its known peers for the current sample, its importance, and the message
-    ids it already holds (only asked, with `in`, about the carrier's
-    messages)."""
+    its known peers for the current sample, its importance, and the workload
+    rows of the messages it already holds (only asked, with `in`, about the
+    carrier's messages)."""
 
     node_id: int
     weights: Mapping[int, float]
     importance: float
-    buffered: Container[str]
+    buffered: Container[int]
 
 
 def _candidates(carrier: CarrierState, peer: PeerSummary):
     for m in carrier.messages:
-        if m.id in peer.buffered or m.destination == carrier.node_id:
+        if m.row in peer.buffered or m.destination == carrier.node_id:
             continue
         yield m
 
 
-def epidemic_on_contact(carrier: CarrierState, peer: PeerSummary) -> RouterDecision:
+def epidemic_on_contact(
+    carrier: CarrierState,
+    peer: PeerSummary,
+    communities: CommunityMap,
+    centralities: CentralityTable,
+) -> RouterDecision:
     """Flood: copy everything the peer lacks."""
-    return RouterDecision(tuple(m.id for m in _candidates(carrier, peer)))
+    return RouterDecision(tuple(m.row for m in _candidates(carrier, peer)))
 
 
-def dlife_on_contact(carrier: CarrierState, peer: PeerSummary) -> RouterDecision:
+def dlife_on_contact(
+    carrier: CarrierState,
+    peer: PeerSummary,
+    communities: CommunityMap,
+    centralities: CentralityTable,
+) -> RouterDecision:
     """Copy when the peer has a strictly stronger routine tie to the
     destination; otherwise fall back to comparing node importance."""
     replicate = []
     for m in _candidates(carrier, peer):
         if m.destination == peer.node_id:
-            replicate.append(m.id)
+            replicate.append(m.row)
         elif peer.weights.get(m.destination, 0.0) > carrier.weights.get(m.destination, 0.0):
-            replicate.append(m.id)
+            replicate.append(m.row)
         elif peer.importance > carrier.importance:
-            replicate.append(m.id)
+            replicate.append(m.row)
     return RouterDecision(tuple(replicate))
 
 
 def dlifecomm_on_contact(
-    carrier: CarrierState, peer: PeerSummary, communities: CommunityMap
+    carrier: CarrierState,
+    peer: PeerSummary,
+    communities: CommunityMap,
+    centralities: CentralityTable,
 ) -> RouterDecision:
     """Community-aware variant: weight comparison toward peers inside the
     destination's community, importance comparison elsewhere. A carrier
@@ -103,9 +116,9 @@ def dlifecomm_on_contact(
         else:
             send = peer.importance > carrier.importance
         if send:
-            replicate.append(m.id)
+            replicate.append(m.row)
             if peer_inside and not (carrier_comms & dest_comms):
-                delete_after.append(m.id)
+                delete_after.append(m.row)
     return RouterDecision(tuple(replicate), tuple(delete_after))
 
 
@@ -144,31 +157,31 @@ def bubblerap_on_contact(
         else:
             send = peer_global > carrier_global
         if send:
-            replicate.append(m.id)
+            replicate.append(m.row)
             if peer_shared and not carrier_shared:
-                delete_after.append(m.id)
+                delete_after.append(m.row)
     return RouterDecision(tuple(replicate), tuple(delete_after))
+
+
+# every router takes (carrier, peer, communities, centralities)
+ROUTERS = {
+    "dlife": dlife_on_contact,
+    "dlifecomm": dlifecomm_on_contact,
+    "bubblerap": bubblerap_on_contact,
+    "epidemic": epidemic_on_contact,
+}
+ROUTER_NAMES = tuple(ROUTERS)
 
 
 def decide(
     router: str,
     carrier: CarrierState,
     peer: PeerSummary,
-    communities: CommunityMap | None = None,
-    centralities: CentralityTable | None = None,
+    communities: CommunityMap,
+    centralities: CentralityTable,
 ) -> RouterDecision:
     """Dispatch a routing decision by router name."""
-    if router == "epidemic":
-        return epidemic_on_contact(carrier, peer)
-    if router == "dlife":
-        return dlife_on_contact(carrier, peer)
-    if router == "dlifecomm":
-        return dlifecomm_on_contact(carrier, peer, communities or CommunityMap.empty())
-    if router == "bubblerap":
-        return bubblerap_on_contact(
-            carrier,
-            peer,
-            communities or CommunityMap.empty(),
-            centralities or CentralityTable.empty(),
-        )
-    raise ValueError(f"unknown router {router!r} (valid: {', '.join(ROUTER_NAMES)})")
+    on_contact = ROUTERS.get(router)
+    if on_contact is None:
+        raise ValueError(f"unknown router {router!r} (valid: {', '.join(ROUTER_NAMES)})")
+    return on_contact(carrier, peer, communities, centralities)

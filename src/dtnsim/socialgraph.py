@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import networkx as nx
 
@@ -171,21 +171,6 @@ class WindowMeetings:
             window=self.window,
             num_windows=num_windows,
         )
-
-
-def cumulative_window_centrality(
-    contacts: Iterable[ContactEvent],
-    window: float,
-    communities: CommunityMap,
-    *,
-    now: float,
-    epoch: float = 0.0,
-) -> CentralityTable:
-    """`WindowMeetings.centrality` over the given contacts, all at once."""
-    meetings = WindowMeetings(window, epoch)
-    for ev in contacts:
-        meetings.add(ev)
-    return meetings.centrality(communities, now)
 
 
 def communities_json(communities: CommunityMap) -> str:

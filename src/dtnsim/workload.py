@@ -30,21 +30,23 @@ class WorkloadEntry(NamedTuple):
 @dataclass(frozen=True)
 class Message:
     """A unicast payload replicated across nodes while it lives. `row` is its
-    workload row; it breaks ties between equal creation times.
+    workload row and its only key; it breaks ties between equal creation
+    times.
 
-    `order_key` is the buffer order: creation time, then row. The id only
-    separates messages built by hand with the same row. It is set once at
-    construction, like the fields, so attribute access stays fast.
+    `order_key` is the buffer order: creation time, then row. `id` is the
+    name the event log gives the message, `m` and the row zero-padded to 5
+    digits. Both are set once at construction, like the fields, so attribute
+    access stays fast.
     """
 
-    id: str
+    row: int
     source: int
     destination: int
     created_at: float
     ttl: float
     size: int
-    row: int = 0
-    order_key: tuple[float, int, str] = field(init=False, repr=False, compare=False)
+    id: str = field(init=False, compare=False)
+    order_key: tuple[float, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.source == self.destination:
@@ -53,7 +55,8 @@ class Message:
             raise ValueError("message size must be > 0")
         if self.ttl <= 0:
             raise ValueError("message ttl must be > 0")
-        object.__setattr__(self, "order_key", (self.created_at, self.row, self.id))
+        object.__setattr__(self, "id", f"m{self.row:05d}")
+        object.__setattr__(self, "order_key", (self.created_at, self.row))
 
     @property
     def expires_at(self) -> float:
@@ -136,16 +139,9 @@ def generate_workload(
 
 
 def messages_from_workload(entries: Sequence[WorkloadEntry], ttl: float) -> tuple[Message, ...]:
-    """Assign stable ids and rows by row order and attach the configured TTL."""
+    """One message per workload row, keyed by the row, with the configured
+    TTL."""
     return tuple(
-        Message(
-            id=f"m{i:05d}",
-            source=e.source,
-            destination=e.destination,
-            created_at=e.created_at,
-            ttl=ttl,
-            size=e.size,
-            row=i,
-        )
+        Message(i, e.source, e.destination, e.created_at, ttl, e.size)
         for i, e in enumerate(entries)
     )

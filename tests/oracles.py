@@ -13,7 +13,13 @@ import math
 
 import numpy as np
 
-from dtnsim import CentralityTable, LedgerOrderingError, SampleConfig, SampleSlot
+from dtnsim import (
+    CentralityTable,
+    LedgerOrderingError,
+    SampleConfig,
+    SampleSlot,
+    WindowMeetings,
+)
 from dtnsim.contacts import slot_from_linear
 from dtnsim.engine import (
     EVENT_LOG_CSV_HEADER,
@@ -77,6 +83,16 @@ def clique_percolation_bruteforce(adjacency, k):
                     frontier.append(other)
         communities.append(frozenset(itertools.chain.from_iterable(kcliques[g] for g in group)))
     return set(communities)
+
+
+def cumulative_window_centrality(contacts, window, communities, *, now, epoch=0.0):
+    """`WindowMeetings.centrality` over the given contacts, all at once. Not
+    an oracle: a batch helper for tests that check the engine's incremental
+    path by examples and against `rescan_window_centrality`."""
+    meetings = WindowMeetings(window, epoch)
+    for ev in contacts:
+        meetings.add(ev)
+    return meetings.centrality(communities, now)
 
 
 def rescan_window_centrality(contacts, window, communities, *, now, epoch=0.0):
@@ -387,11 +403,11 @@ class PerNodeLedger:
 class MinScanBuffer:
     """Reference model of one node's bounded buffer: a plain dict whose
     eviction victim is found by a min (oldest_first) or max (newest_first)
-    scan over (created_at, id) for every victim, with no kept order."""
+    scan over (created_at, row) for every victim, with no kept order."""
 
     def __init__(self, capacity):
         self.capacity = capacity
-        self.buffer = {}  # msg id -> Message
+        self.buffer = {}  # row -> Message
         self.occupancy = 0
 
     def admit(self, m, drop_policy):
@@ -401,19 +417,19 @@ class MinScanBuffer:
         evicted = []
         pick = min if drop_policy == "oldest_first" else max
         while self.occupancy + m.size > self.capacity:
-            victim = pick(self.buffer.values(), key=lambda v: (v.created_at, v.id))
-            evicted.append(self.remove(victim.id))
-        self.buffer[m.id] = m
+            victim = pick(self.buffer.values(), key=lambda v: (v.created_at, v.row))
+            evicted.append(self.remove(victim.row))
+        self.buffer[m.row] = m
         self.occupancy += m.size
         return True, evicted
 
-    def remove(self, msg_id):
-        m = self.buffer.pop(msg_id)
+    def remove(self, row):
+        m = self.buffer.pop(row)
         self.occupancy -= m.size
         return m
 
     def messages_by_creation(self):
-        return tuple(sorted(self.buffer.values(), key=lambda m: (m.created_at, m.id)))
+        return tuple(sorted(self.buffer.values(), key=lambda m: (m.created_at, m.row)))
 
 
 def record_json(r):

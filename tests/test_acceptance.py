@@ -12,6 +12,8 @@ import pytest
 
 from dtnsim import (
     CarrierState,
+    CentralityTable,
+    CommunityMap,
     ContactEvent,
     ContactTrace,
     EventLog,
@@ -316,6 +318,7 @@ def test_criterion_7_rank_invariances():
     rng = random.Random(0x5CA1E)
     trials = 0
     cfg = SampleConfig(4, 86400)
+    social = (CommunityMap.empty(), CentralityTable.empty())  # dlife reads neither
     for _ in range(1000):
         peers = 4
         ad = {
@@ -349,12 +352,14 @@ def test_criterion_7_rank_invariances():
         base = dlife_on_contact(
             CarrierState(0, msgs, base_w, importance_c),
             PeerSummary(peer_id, {k: 2.0 * v for k, v in base_w.items()}, importance_p, frozenset()),
+            *social,
         )
         scaled = dlife_on_contact(
             CarrierState(0, msgs, scaled_w, importance_c),
             PeerSummary(
                 peer_id, {k: 2.0 * v for k, v in scaled_w.items()}, importance_p, frozenset()
             ),
+            *social,
         )
         assert base == scaled
         trials += 1
@@ -365,6 +370,7 @@ def test_criterion_7_rank_invariances():
         decision = dlife_on_contact(
             CarrierState(0, tie_msgs, weights, 0.6),
             PeerSummary(1, dict(weights), 0.6, frozenset()),
+            *social,
         )
         assert decision.replicate == ()
     assert trials >= 1000

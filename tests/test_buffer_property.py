@@ -31,13 +31,13 @@ def test_buffer_matches_min_scan_model(drop_policy, entries, data):
     for _ in range(data.draw(st.integers(1, 60), label="steps")):
         held = sorted(model.buffer)
         if held and data.draw(st.booleans(), label="remove"):
-            msg_id = data.draw(st.sampled_from(held), label="removed")
-            assert node.remove(msg_id) == model.remove(msg_id)
+            row = data.draw(st.sampled_from(held), label="removed")
+            assert node.remove(row) == model.remove(row)
         else:
             m = data.draw(st.sampled_from(messages), label="admitted")
-            if m.id in model.buffer:
+            if m.row in model.buffer:
                 continue
             ok, evicted = buffer_admit(node, m, drop_policy)
             assert (ok, evicted) == model.admit(m, drop_policy)
         assert node.occupancy == model.occupancy
-        assert node.messages_by_creation() == model.messages_by_creation()
+        assert tuple(node.ordered) == model.messages_by_creation()

@@ -59,45 +59,45 @@ def _node(capacity=2_000_000):
     return NodeRuntime(0, capacity)
 
 
-def _msg(mid, size, created=0.0):
-    return Message(mid, 0, 1, created, 86400.0, size)
+def _msg(row, size, created=0.0):
+    return Message(row, 0, 1, created, 86400.0, size)
 
 
 def test_buffer_admit_plain():
     node = _node()
-    ok, evicted = buffer_admit(node, _msg("a", 100_000))
+    ok, evicted = buffer_admit(node, _msg(0, 100_000))
     assert ok and evicted == []
     assert node.occupancy == 100_000
 
 
 def test_buffer_admit_rejects_oversize():
     node = _node()
-    ok, evicted = buffer_admit(node, _msg("big", 3_000_000))
+    ok, evicted = buffer_admit(node, _msg(0, 3_000_000))
     assert not ok and evicted == [] and node.occupancy == 0
 
 
 def test_buffer_admit_evicts_oldest_until_fit():
     node = _node()
     for i in range(20):
-        assert buffer_admit(node, _msg(f"m{i:02d}", 100_000, created=float(i)))[0]
+        assert buffer_admit(node, _msg(i, 100_000, created=float(i)))[0]
     assert node.occupancy == 2_000_000
-    ok, evicted = buffer_admit(node, _msg("new", 100_000, created=99.0))
+    ok, evicted = buffer_admit(node, _msg(20, 100_000, created=99.0))
     assert ok
-    assert [m.id for m in evicted] == ["m00"]
+    assert [m.row for m in evicted] == [0]
     assert node.occupancy == 2_000_000
-    assert not node.holds("m00") and node.holds("new")
+    assert not node.holds(0) and node.holds(20)
 
 
 def test_buffer_admit_newest_first_policy():
     node = _node(capacity=200_000)
-    buffer_admit(node, _msg("old", 100_000, created=0.0))
-    buffer_admit(node, _msg("young", 100_000, created=10.0))
-    ok, evicted = buffer_admit(node, _msg("incoming", 150_000, created=5.0), "newest_first")
-    assert ok and [m.id for m in evicted] == ["young", "old"]
+    buffer_admit(node, _msg(0, 100_000, created=0.0))  # old
+    buffer_admit(node, _msg(1, 100_000, created=10.0))  # young
+    ok, evicted = buffer_admit(node, _msg(2, 150_000, created=5.0), "newest_first")
+    assert ok and [m.row for m in evicted] == [1, 0]  # young, then old
 
 
 def test_buffer_order_follows_workload_row_past_100k_messages():
-    # ids render as m99999 < m100000 only in row order, not as strings
+    # the log names m99999 and m100000 sort by row, not as strings
     msgs = messages_from_workload([WorkloadEntry(0.0, 0, 1, 1000)] * 100_001, ttl=DAY)
     m99999, m100000 = msgs[99_999], msgs[100_000]
     assert (m99999.id, m100000.id) == ("m99999", "m100000")
@@ -105,7 +105,7 @@ def test_buffer_order_follows_workload_row_past_100k_messages():
         node = _node(capacity=2000)
         buffer_admit(node, m100000, drop_policy)
         buffer_admit(node, m99999, drop_policy)
-        assert node.messages_by_creation() == (m99999, m100000)
+        assert node.ordered == [m99999, m100000]
         ok, evicted = buffer_admit(node, msgs[0], drop_policy)
         assert ok and evicted == [victim]
 
@@ -124,29 +124,29 @@ def test_equal_time_creations_run_in_row_order_past_100k_messages():
 
 def test_transfer_unlimited_bandwidth():
     contact = ContactEvent(0, 1, 0.0, 2.0)
-    msgs = [_msg("a", 1000), _msg("b", 100_000)]
+    msgs = [_msg(0, 1000), _msg(1, 100_000)]
     completed, aborted = transfer_within_contact(contact, msgs, None)
-    assert [(m.id, t) for m, t in completed] == [("a", 0.0), ("b", 0.0)]
+    assert [(m.row, t) for m, t in completed] == [(0, 0.0), (1, 0.0)]
     assert aborted == []
 
 
 def test_transfer_sequential_and_abort():
     contact = ContactEvent(0, 1, 0.0, 2.0)
-    completed, aborted = transfer_within_contact(contact, [_msg("a", 1000)], 8000.0)
-    assert [(m.id, t) for m, t in completed] == [("a", 1.0)]  # 8000 bits / 8000 bps
+    completed, aborted = transfer_within_contact(contact, [_msg(0, 1000)], 8000.0)
+    assert [(m.row, t) for m, t in completed] == [(0, 1.0)]  # 8000 bits / 8000 bps
 
     completed, aborted = transfer_within_contact(
-        contact, [_msg("big", 100_000), _msg("a", 1000)], 8000.0
+        contact, [_msg(1, 100_000), _msg(0, 1000)], 8000.0
     )
     assert completed == []  # the saturated link blocks everything behind it
-    assert [m.id for m in aborted] == ["big", "a"]
+    assert [m.row for m in aborted] == [1, 0]
 
     long_contact = ContactEvent(0, 1, 0.0, 3.0)
     completed, aborted = transfer_within_contact(
-        long_contact, [_msg("a", 1000), _msg("b", 1000), _msg("c", 8000)], 8000.0
+        long_contact, [_msg(0, 1000), _msg(1, 1000), _msg(2, 8000)], 8000.0
     )
-    assert [(m.id, t) for m, t in completed] == [("a", 1.0), ("b", 2.0)]
-    assert [m.id for m in aborted] == ["c"]
+    assert [(m.row, t) for m, t in completed] == [(0, 1.0), (1, 2.0)]
+    assert [m.row for m in aborted] == [2]
 
 
 # -- whole runs -------------------------------------------------------------
@@ -407,6 +407,28 @@ def test_rolls_and_recomputes_are_pushed_one_at_a_time():
     sim = Simulation(simple_cfg(trace, entries((3.6e8, 0, 1, 500)), router="bubblerap"))
     sim._seed_events()
     assert len(sim._heap) <= 2 * 1 + 1 + 2
+
+
+def test_recomputes_after_the_last_contact_skip_to_the_horizon():
+    # one message expiring about 11 years after the only contact: no
+    # decision runs after the contact ends, so only the last recompute before
+    # the horizon is made, and it leaves what the full chain leaves
+    trace = trace_of([(0, 1, 100.0, 200.0)])
+    cfg = simple_cfg(trace, entries((3.6e8, 0, 1, 500)), router="bubblerap")
+    sim, chained = Simulation(cfg), Simulation(cfg)
+    chained._last_end = math.inf  # the whole chain, one recompute a day
+    times = []
+    recompute = sim._on_recompute
+
+    def record(time, n):
+        times.append(time)
+        recompute(time, n)
+
+    sim._on_recompute = record
+    assert sim.run().records == chained.run().records
+    assert times == [sim.epoch + (sim.horizon - sim.epoch) // DAY * DAY]
+    assert (sim.communities, sim.centralities) == (chained.communities, chained.centralities)
+    assert sim.centralities.num_windows > 1
 
 
 def test_chained_rolls_reach_the_horizon():

@@ -206,6 +206,9 @@ def test_benchmark_tracer_wraps_live_names():
         log = Simulation(cfg).run()
         log.to_csv()
         log.to_ndjson()
+        # a flood replicates, so the tracer's reads of the decision's
+        # carrier messages and replicated rows must count something
+        Simulation(dataclasses.replace(cfg, router="epidemic")).run()
     assert SocialLedger.__dict__["roll_sample"] is original  # restored
     wrapped = [
         "ledger.fragment", "ledger.roll", "ledger.importance", "ledger.weights",
@@ -218,6 +221,8 @@ def test_benchmark_tracer_wraps_live_names():
     for name in ("ledger.fragment", "ledger.roll", "ledger.importance", "ledger.weights",
                  "routing.decide", "engine.admit"):
         assert metrics[f"{name}_calls"][0] > 0, name
+    assert metrics["routing.offered"][0] > 0
+    assert metrics["routing.replicated"][0] > 0
 
 
 def test_readme_example_sets_every_engine_field(tmp_path):

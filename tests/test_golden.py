@@ -1,7 +1,8 @@
 """Golden event logs: the SHA-256 of `events.csv` and `events.ndjson` for
 every router, link model and drop policy on one small desk scenario, of
-`events.csv` for runs that charge summaries to the link, and of the ledger
-dump of one `dlife` run.
+`events.csv` for runs that charge summaries to the link, of the ledger
+dump of one `dlife` run, and of the community and centrality dumps of one
+`bubblerap` run whose horizon lies days past its last contact.
 
 A change that must not alter behaviour (a refactor, a faster buffer or
 decision path) keeps every hash here; a change that alters a log on purpose
@@ -16,6 +17,7 @@ from dtnsim import BANDWIDTH_WIFI_11MBPS as MBPS_11
 from dtnsim import Simulation, run_simulation
 from dtnsim.engine import KIND_ABORTED, KIND_DROPPED
 from dtnsim.ledger import dump_ledgers_csv
+from dtnsim.socialgraph import centrality_csv, communities_json
 
 from scenarios import DAY, GOLDEN_CAPACITY, desk_sim_config, golden_scenario
 
@@ -100,6 +102,13 @@ GOLDEN_LEDGER_DUMP = (
     "bc6586daf7a51733fbefd9c8071d33dd14738a9e8108868e75a4a2270894f0a0",
 )
 
+# bubblerap, TTL 4 days, unlimited bandwidth, oldest first:
+# (communities.json sha256, centrality.csv sha256)
+GOLDEN_SOCIAL_DUMP = (
+    "8fe0e951dedc91d414dbf149f50acaf80d2f1db3c541a1f4fd54844f4468931d",
+    "d81012191c5f8ffa27270b76b648ed531c20abe7fd9c4f59c2bf6f9ec28b8e7a",
+)
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -155,3 +164,19 @@ def test_golden_ledger_dump(scenario):
     sim.run()
     pair_csv, imp_csv = dump_ledgers_csv(sim.final_ledger())
     assert (sha256(pair_csv), sha256(imp_csv)) == GOLDEN_LEDGER_DUMP
+
+
+def test_golden_social_dump_past_the_last_contact(scenario):
+    trace, workload = scenario
+    sim = Simulation(
+        desk_sim_config(
+            trace, workload, "bubblerap", ttl=4 * DAY, seed=5, buffer_capacity=GOLDEN_CAPACITY
+        )
+    )
+    sim.run()
+    assert sim.horizon > max(ev.end for ev in trace.events) + 2 * DAY
+    dumps = (
+        communities_json(sim.communities),
+        centrality_csv(sim.centralities, sim.communities, trace.node_count),
+    )
+    assert tuple(sha256(d) for d in dumps) == GOLDEN_SOCIAL_DUMP

@@ -16,8 +16,12 @@ from dtnsim import (
 )
 
 
-def msg(mid, source=0, destination=9, created=0.0, size=1000, ttl=86400.0):
-    return Message(mid, source, destination, created, ttl, size)
+NO_COMMUNITIES = CommunityMap.empty()
+NO_CENTRALITIES = CentralityTable.empty()
+
+
+def msg(row, source=0, destination=9, created=0.0, size=1000, ttl=86400.0):
+    return Message(row, source, destination, created, ttl, size)
 
 
 def carrier(messages, weights=None, importance=0.0, node_id=0):
@@ -28,124 +32,142 @@ def peer(node_id=1, weights=None, importance=0.0, buffered=()):
     return PeerSummary(node_id, weights or {}, importance, frozenset(buffered))
 
 
+def epidemic(state, other):
+    return epidemic_on_contact(state, other, NO_COMMUNITIES, NO_CENTRALITIES)
+
+
+def dlife(state, other):
+    return dlife_on_contact(state, other, NO_COMMUNITIES, NO_CENTRALITIES)
+
+
 def test_epidemic_floods_missing():
-    msgs = [msg(f"m{i}", destination=5) for i in range(5)]
-    decision = epidemic_on_contact(carrier(msgs), peer(buffered={"m0", "m3"}))
-    assert decision.replicate == ("m1", "m2", "m4")
+    msgs = [msg(i, destination=5) for i in range(5)]
+    decision = epidemic(carrier(msgs), peer(buffered={0, 3}))
+    assert decision.replicate == (1, 2, 4)
     assert decision.delete_after == ()
 
-    assert epidemic_on_contact(carrier(msgs), peer(buffered={m.id for m in msgs})).replicate == ()
-    assert epidemic_on_contact(carrier([]), peer()).replicate == ()
+    assert epidemic(carrier(msgs), peer(buffered={m.row for m in msgs})).replicate == ()
+    assert epidemic(carrier([]), peer()).replicate == ()
 
 
 def test_no_router_replicates_held_or_own_messages():
-    own = msg("own", source=3, destination=0)  # addressed to the carrier
-    held = msg("held", destination=9)
+    own = msg(0, source=3, destination=0)  # addressed to the carrier
+    held = msg(1, destination=9)
     communities = CommunityMap.empty()
     centralities = CentralityTable.empty()
     state = carrier([own, held], weights={9: 5.0}, importance=2.0)
-    other = peer(weights={}, importance=0.0, buffered={"held"})
+    other = peer(weights={}, importance=0.0, buffered={1})
     for name in ("epidemic", "dlife", "dlifecomm", "bubblerap"):
         decision = decide(name, state, other, communities, centralities)
         assert decision.replicate == ()
 
 
 def test_dlife_weight_rule():
-    m = msg("m0", destination=9)
-    assert dlife_on_contact(
+    m = msg(0, destination=9)
+    assert dlife(
         carrier([m], weights={9: 2.0}), peer(weights={9: 5.0})
-    ).replicate == ("m0",)
+    ).replicate == (0,)
     assert (
-        dlife_on_contact(carrier([m], weights={9: 5.0}), peer(weights={9: 2.0})).replicate == ()
+        dlife(carrier([m], weights={9: 5.0}), peer(weights={9: 2.0})).replicate == ()
     )
 
 
 def test_dlife_tie_falls_back_to_importance_and_keeps_on_tie():
-    m = msg("m0", destination=9)
+    m = msg(0, destination=9)
     # equal weights (both unknown: 0), equal importance: strict rule keeps
     assert (
-        dlife_on_contact(carrier([m], importance=0.6), peer(importance=0.6)).replicate == ()
+        dlife(carrier([m], importance=0.6), peer(importance=0.6)).replicate == ()
     )
-    assert dlife_on_contact(
+    assert dlife(
         carrier([m], importance=0.2), peer(importance=0.3)
-    ).replicate == ("m0",)
+    ).replicate == (0,)
     # a *lower* peer weight still falls through to the importance comparison
-    assert dlife_on_contact(
+    assert dlife(
         carrier([m], weights={9: 5.0}, importance=0.2), peer(weights={9: 1.0}, importance=0.9)
-    ).replicate == ("m0",)
+    ).replicate == (0,)
 
 
 def test_delivery_short_circuit_all_routers():
-    m = msg("m0", destination=1)
+    m = msg(0, destination=1)
     communities = CommunityMap.empty()
     centralities = CentralityTable.empty()
     for name in ("epidemic", "dlife", "dlifecomm", "bubblerap"):
         decision = decide(name, carrier([m], importance=9.9), peer(node_id=1), communities, centralities)
-        assert decision.replicate == ("m0",), name
+        assert decision.replicate == (0,), name
 
 
 def test_dlife_decisions_deterministic():
-    msgs = [msg(f"m{i}", destination=4 + i % 3) for i in range(6)]
+    msgs = [msg(i, destination=4 + i % 3) for i in range(6)]
     state = carrier(msgs, weights={4: 1.0, 5: 0.2}, importance=0.5)
-    other = peer(weights={4: 2.0, 6: 0.1}, importance=0.4, buffered={"m2"})
-    first = dlife_on_contact(state, other)
+    other = peer(weights={4: 2.0, 6: 0.1}, importance=0.4, buffered={2})
+    first = dlife(state, other)
     for _ in range(5):
-        assert dlife_on_contact(state, other) == first
+        assert dlife(state, other) == first
 
 
 def test_dlifecomm_inside_community_uses_weights():
     communities = CommunityMap((frozenset({1, 9}),))
-    m = msg("m0", destination=9)
+    m = msg(0, destination=9)
     decision = dlifecomm_on_contact(
         carrier([m], weights={9: 1.0}, node_id=0),
         peer(node_id=1, weights={9: 3.0}),
         communities,
+        NO_CENTRALITIES,
     )
-    assert decision.replicate == ("m0",)
+    assert decision.replicate == (0,)
     # carrier outside the destination community deletes after the copy lands inside
-    assert decision.delete_after == ("m0",)
+    assert decision.delete_after == (0,)
 
 
 def test_dlifecomm_outside_community_uses_importance():
     communities = CommunityMap((frozenset({7, 9}),))
-    m = msg("m0", destination=9)
+    m = msg(0, destination=9)
     no = dlifecomm_on_contact(
-        carrier([m], importance=0.9), peer(node_id=1, importance=0.3, weights={9: 99.0}), communities
+        carrier([m], importance=0.9),
+        peer(node_id=1, importance=0.3, weights={9: 99.0}),
+        communities,
+        NO_CENTRALITIES,
     )
     assert no.replicate == ()  # weight ignored outside the community
     yes = dlifecomm_on_contact(
-        carrier([m], importance=0.2), peer(node_id=1, importance=0.9), communities
+        carrier([m], importance=0.2), peer(node_id=1, importance=0.9), communities, NO_CENTRALITIES
     )
-    assert yes.replicate == ("m0",)
+    assert yes.replicate == (0,)
     assert yes.delete_after == ()
 
 
 def test_dlifecomm_destination_without_community_uses_importance_everywhere():
     communities = CommunityMap((frozenset({1, 2, 3}),))  # destination 9 in none
-    m = msg("m0", destination=9)
+    m = msg(0, destination=9)
     decision = dlifecomm_on_contact(
-        carrier([m], importance=0.1), peer(node_id=1, importance=0.5, weights={9: 10.0}), communities
+        carrier([m], importance=0.1),
+        peer(node_id=1, importance=0.5, weights={9: 10.0}),
+        communities,
+        NO_CENTRALITIES,
     )
-    assert decision.replicate == ("m0",)
+    assert decision.replicate == (0,)
     assert decision.delete_after == ()  # no community to hand the copy to
 
 
 def test_dlifecomm_carrier_inside_keeps_copy():
     communities = CommunityMap((frozenset({0, 1, 9}),))
-    m = msg("m0", destination=9)
+    m = msg(0, destination=9)
     decision = dlifecomm_on_contact(
-        carrier([m], weights={9: 1.0}, node_id=0), peer(node_id=1, weights={9: 2.0}), communities
+        carrier([m], weights={9: 1.0}, node_id=0),
+        peer(node_id=1, weights={9: 2.0}),
+        communities,
+        NO_CENTRALITIES,
     )
-    assert decision.replicate == ("m0",)
+    assert decision.replicate == (0,)
     assert decision.delete_after == ()
 
 
 def test_bubblerap_global_phase():
     communities = CommunityMap((frozenset({8, 9}),))
     centralities = CentralityTable({0: 3.0, 1: 10.0}, {}, 3600.0, 1)
-    m = msg("m0", destination=9)
+    m = msg(0, destination=9)
     decision = bubblerap_on_contact(carrier([m]), peer(node_id=1), communities, centralities)
-    assert decision.replicate == ("m0",)
+    assert decision.replicate == (0,)
     assert decision.delete_after == ()
 
     lower = CentralityTable({0: 10.0, 1: 3.0}, {}, 3600.0, 1)
@@ -156,7 +178,7 @@ def test_bubblerap_global_phase():
 
 def test_bubblerap_local_phase_and_entry():
     communities = CommunityMap((frozenset({1, 5, 9}),))
-    m = msg("m0", destination=9)
+    m = msg(0, destination=9)
     # both inside: local comparison (peer 2 vs carrier 5) keeps the message
     centralities = CentralityTable({}, {(1, 0): 2.0, (5, 0): 5.0}, 3600.0, 1)
     decision = bubblerap_on_contact(
@@ -167,26 +189,26 @@ def test_bubblerap_local_phase_and_entry():
     decision = bubblerap_on_contact(
         carrier([m], node_id=0), peer(node_id=1), communities, centralities
     )
-    assert decision.replicate == ("m0",)
-    assert decision.delete_after == ("m0",)
+    assert decision.replicate == (0,)
+    assert decision.delete_after == (0,)
 
 
 def test_decide_unknown_router():
     with pytest.raises(ValueError, match="dlife"):
-        decide("flooding", carrier([]), peer())
+        decide("flooding", carrier([]), peer(), NO_COMMUNITIES, NO_CENTRALITIES)
 
 
 def test_dlife_invariant_under_weight_scaling():
     rng = random.Random(5)
     for _ in range(300):
         dests = list(range(3, 8))
-        msgs = [msg(f"m{i}", destination=rng.choice(dests)) for i in range(rng.randint(1, 6))]
+        msgs = [msg(i, destination=rng.choice(dests)) for i in range(rng.randint(1, 6))]
         cw = {d: rng.choice([0.0, rng.uniform(0, 100)]) for d in dests}
         pw = {d: rng.choice([0.0, rng.uniform(0, 100)]) for d in dests}
         ci, pi = rng.uniform(0, 2), rng.uniform(0, 2)
         scale = rng.uniform(0.01, 50)
-        base = dlife_on_contact(carrier(msgs, cw, ci), peer(weights=pw, importance=pi))
-        scaled = dlife_on_contact(
+        base = dlife(carrier(msgs, cw, ci), peer(weights=pw, importance=pi))
+        scaled = dlife(
             carrier(msgs, {d: scale * w for d, w in cw.items()}, ci),
             peer(weights={d: scale * w for d, w in pw.items()}, importance=pi),
         )
@@ -198,8 +220,8 @@ def test_router_decision_subset_invariants():
     communities = CommunityMap((frozenset({2, 9}), frozenset({0, 4})))
     centralities = CentralityTable({i: float(i) for i in range(10)}, {(2, 0): 1.0}, 60.0, 1)
     for _ in range(200):
-        msgs = [msg(f"m{i}", destination=rng.randrange(2, 10)) for i in range(rng.randint(0, 5))]
-        held = {m.id for m in msgs if rng.random() < 0.3}
+        msgs = [msg(i, destination=rng.randrange(2, 10)) for i in range(rng.randint(0, 5))]
+        held = {m.row for m in msgs if rng.random() < 0.3}
         state = carrier(
             msgs, {d: rng.uniform(0, 5) for d in range(10)}, rng.uniform(0, 2), node_id=0
         )
@@ -213,5 +235,5 @@ def test_router_decision_subset_invariants():
             decision = decide(name, state, other, communities, centralities)
             assert set(decision.delete_after) <= set(decision.replicate)
             assert not (set(decision.replicate) & held)
-            buffered_ids = {m.id for m in msgs}
-            assert set(decision.replicate) <= buffered_ids
+            buffered_rows = {m.row for m in msgs}
+            assert set(decision.replicate) <= buffered_rows

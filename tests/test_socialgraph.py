@@ -11,11 +11,14 @@ from dtnsim import (
     ContactEvent,
     WindowMeetings,
     build_familiar_graph,
-    cumulative_window_centrality,
     k_clique_communities,
 )
 
-from oracles import clique_percolation_bruteforce, rescan_window_centrality
+from oracles import (
+    clique_percolation_bruteforce,
+    cumulative_window_centrality,
+    rescan_window_centrality,
+)
 
 
 def _graph_from_edges(edges):

@@ -81,8 +81,8 @@ def test_messages_from_workload():
 
 def test_message_validation():
     with pytest.raises(ValueError):
-        Message("x", 1, 1, 0.0, 10.0, 100)
+        Message(0, 1, 1, 0.0, 10.0, 100)
     with pytest.raises(ValueError):
-        Message("x", 0, 1, 0.0, 0.0, 100)
+        Message(0, 0, 1, 0.0, 0.0, 100)
     with pytest.raises(ValueError):
-        Message("x", 0, 1, 0.0, 10.0, 0)
+        Message(0, 0, 1, 0.0, 10.0, 0)
