@@ -1,9 +1,7 @@
 """Command line entry point: run experiment plans, compare result sets, and
 generate or convert traces and workloads.
 
-Exit codes: 0 ok, 1 run failure, 2 usage or configuration error. Flag
-defaults can be overridden with DTNSIM_<FLAG> environment variables
-(e.g. DTNSIM_JOBS=4) for CI use.
+Exit codes: 0 ok, 1 run failure, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -11,7 +9,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -33,18 +30,9 @@ from .experiment import (
 )
 from .workload import generate_workload, serialize_workload
 
-ENV_PREFIX = "DTNSIM_"
-
 EXIT_OK = 0
 EXIT_RUN_FAILURE = 1
 EXIT_USAGE = 2
-
-
-def _env_default(name: str, fallback):
-    raw = os.environ.get(ENV_PREFIX + name.upper())
-    if raw is None:
-        return fallback
-    return type(fallback)(raw) if fallback is not None else raw
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,11 +43,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="execute an experiment plan from a JSON config")
-    run.add_argument("--config", required=_env_default("config", None) is None,
-                     default=_env_default("config", None))
-    run.add_argument("--out", default=_env_default("out", None),
-                     help="override the config's output directory")
-    run.add_argument("--jobs", type=int, default=_env_default("jobs", 1),
+    run.add_argument("--config", required=True)
+    run.add_argument("--out", default=None, help="override the config's output directory")
+    run.add_argument("--jobs", type=int, default=1,
                      help="parallel plan cells (default 1)")
     run.add_argument("--dump-ledgers", action="store_true",
                      help="also write per-node social-ledger debug CSVs")
@@ -73,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gt = sub.add_parser("gen-trace", help="generate a routine-driven contact trace")
     gt.add_argument("--spec", required=True, help="routine spec JSON file")
-    gt.add_argument("--seed", type=int, default=_env_default("seed", 0))
+    gt.add_argument("--seed", type=int, default=0)
     gt.add_argument("--out", required=True)
 
     gw = sub.add_parser("gen-workload", help="generate a random message workload")
@@ -83,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gw.add_argument("--end", type=float, required=True)
     gw.add_argument("--min-size", type=int, default=1000)
     gw.add_argument("--max-size", type=int, default=100000)
-    gw.add_argument("--seed", type=int, default=_env_default("seed", 0))
+    gw.add_argument("--seed", type=int, default=0)
     gw.add_argument("--out", required=True)
 
     ct = sub.add_parser("convert-trace", help="convert a trace to canonical CSV")

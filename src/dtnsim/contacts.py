@@ -56,6 +56,7 @@ class SampleConfig:
     seconds_per_day: int = 86400
 
     def __post_init__(self):
+        # each message opens with the field at fault, the key the loader reports
         if self.samples_per_day < 1:
             raise ValueError("samples_per_day must be >= 1")
         if self.seconds_per_day <= 0 or self.seconds_per_day % self.samples_per_day != 0:

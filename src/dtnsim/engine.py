@@ -9,7 +9,6 @@ import math
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from types import MappingProxyType
 from typing import NamedTuple, Sequence
@@ -108,25 +107,15 @@ class EventLog:
     def __len__(self) -> int:
         return len(self.records)
 
-    def to_ndjson(self) -> str:
-        """One compact JSON object per record, as `json.dumps` writes it with
-        `separators=(",", ":")`: times in `repr`, ids ASCII-escaped, an
-        absent peer or size as `null`."""
-        esc = encode_basestring_ascii
-        return "".join([
-            f'{{"time":{t!r},"kind":{esc(k)},"msg":{esc(m)},"node":{n},'
-            f'"peer":{"null" if p is None else p},"size":{"null" if s is None else s}}}\n'
-            for t, k, m, n, p, s in self.records
-        ])
-
     def to_csv(self) -> str:
         """`EVENT_LOG_CSV_HEADER` and one row per record; an absent peer or
         size is an empty field."""
-        rows = [
+        rows = [EVENT_LOG_CSV_HEADER + "\n"]
+        rows += [
             f'{t!r},{k},{m},{n},{"" if p is None else p},{"" if s is None else s}\n'
             for t, k, m, n, p, s in self.records
         ]
-        return EVENT_LOG_CSV_HEADER + "\n" + "".join(rows)
+        return "".join(rows)
 
 
 @dataclass(frozen=True)
@@ -152,7 +141,6 @@ class SimConfig:
     epoch: float | None = None  # None: first contact start, floored to a day boundary
     drop_policy: str = "oldest_first"
     charge_summaries: bool = False
-    seed: int | None = None  # provenance only
 
     def __post_init__(self):
         # each test is written as `not <valid>`, so that NaN fails it

@@ -44,7 +44,7 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """One scenario swept over routers x TTLs x seeds. `sim` is the template
     of every cell's `SimConfig`: each cell fills in its trace, workload,
-    router, TTL and seed."""
+    router and TTL."""
 
     routers: tuple[str, ...]
     ttls: tuple[float, ...]
@@ -177,8 +177,9 @@ def load_experiment_config(raw: Mapping, base_dir: Path | str = ".") -> Experime
     grid = {key: _integer(key, raw[key]) for key in _SAMPLE_KEYS if key in raw}
     try:
         sample = SampleConfig(**grid)
-    except ValueError as exc:
-        raise ConfigError("samples_per_day", str(exc)) from None
+    except ValueError as exc:  # the message opens with the field at fault
+        key, _, reason = str(exc).partition(" ")
+        raise ConfigError(key, reason) from None
     try:
         sim = SimConfig(
             sample=sample,
@@ -299,13 +300,12 @@ def _run_cell(args) -> tuple[str, float, int, RunMetrics]:
     from .engine import Simulation  # local import keeps worker pickling light
 
     sim = Simulation(
-        replace(cfg.sim, trace=trace, workload=workload, router=router, ttl=ttl, seed=seed),
+        replace(cfg.sim, trace=trace, workload=workload, router=router, ttl=ttl),
         keep_ledger=dump_ledgers,
     )
     log = sim.run()
     cell = cfg.out_dir / cell_dir_name(router, ttl, seed)
     cell.mkdir(parents=True, exist_ok=True)
-    (cell / "events.ndjson").write_text(log.to_ndjson())
     (cell / "events.csv").write_text(log.to_csv())
     if dump_ledgers:
         pair_csv, imp_csv = dump_ledgers_csv(sim.final_ledger())

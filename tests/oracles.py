@@ -8,7 +8,6 @@ the implementation paths they check.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 
 import numpy as np
@@ -432,30 +431,11 @@ class MinScanBuffer:
         return tuple(sorted(self.buffer.values(), key=lambda m: (m.created_at, m.row)))
 
 
-def record_json(r):
-    """Reference NDJSON line body of one log record: `json.dumps` of a dict."""
-    return json.dumps(
-        {
-            "time": r.time,
-            "kind": r.kind,
-            "msg": r.msg,
-            "node": r.node,
-            "peer": r.peer,
-            "size": r.size,
-        },
-        separators=(",", ":"),
-    )
-
-
 def record_csv_row(r):
     """Reference CSV row of one log record."""
     peer = "" if r.peer is None else str(r.peer)
     size = "" if r.size is None else str(r.size)
     return f"{r.time!r},{r.kind},{r.msg},{r.node},{peer},{size}"
-
-
-def event_log_ndjson(records):
-    return "".join(record_json(r) + "\n" for r in records)
 
 
 def event_log_csv(records):

@@ -45,7 +45,7 @@ def desk_scenario(seed: int, node_count: int = 30, days: int = 7, messages: int 
     return trace, workload
 
 
-def desk_sim_config(trace, workload, router: str, ttl: float, seed: int, **overrides) -> SimConfig:
+def desk_sim_config(trace, workload, router: str, ttl: float, **overrides) -> SimConfig:
     params = dict(
         trace=trace,
         workload=workload,
@@ -59,7 +59,6 @@ def desk_sim_config(trace, workload, router: str, ttl: float, seed: int, **overr
         familiar_threshold=6 * HOUR,
         centrality_window=6 * HOUR,
         recompute_interval=6 * HOUR,
-        seed=seed,
     )
     params.update(overrides)
     return SimConfig(**params)

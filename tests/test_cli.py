@@ -181,8 +181,11 @@ def test_usage_errors(tmp_path):
     assert main(["gen-trace", "--spec", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x")]) == EXIT_USAGE
 
 
-def test_env_override_jobs(tmp_path, monkeypatch):
-    monkeypatch.setenv("DTNSIM_JOBS", "2")
+def test_environment_sets_no_flag(tmp_path, monkeypatch):
+    # a DTNSIM_<FLAG> variable is not read: a malformed one cannot crash the
+    # parser, and --config stays required
+    monkeypatch.setenv("DTNSIM_JOBS", "abc")
+    assert main(["run"]) == EXIT_USAGE
     write_routine_spec(tmp_path / "routine.json")
     cfg = write_config(tmp_path / "plan.json", "res_env")
     assert main(["run", "--config", str(cfg)]) == EXIT_OK

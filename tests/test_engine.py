@@ -182,17 +182,16 @@ def test_eventless_trace_expires_everything():
 
 def test_determinism_byte_identical():
     trace, workload = desk_scenario(seed=3, node_count=10, days=2, messages=60)
-    cfg = desk_sim_config(trace, workload, "dlife", ttl=DAY, seed=3)
+    cfg = desk_sim_config(trace, workload, "dlife", ttl=DAY)
     log_a = run_simulation(cfg)
     log_b = run_simulation(cfg)
-    assert log_a.to_ndjson() == log_b.to_ndjson()
     assert log_a.to_csv() == log_b.to_csv()
 
 
 def test_replay_invariants_small_run():
     trace, workload = desk_scenario(seed=4, node_count=10, days=2, messages=80)
     for router in ("epidemic", "dlife", "dlifecomm", "bubblerap"):
-        cfg = desk_sim_config(trace, workload, router, ttl=DAY, seed=4, buffer_capacity=400_000)
+        cfg = desk_sim_config(trace, workload, router, ttl=DAY, buffer_capacity=400_000)
         log = run_simulation(cfg)
         stats = replay_log(log, capacity=400_000, node_count=10)
         assert stats["created"] == 80
@@ -476,7 +475,7 @@ def test_ledger_dump_reaches_the_horizon():
 def test_bubblerap_centralities_match_rescan_of_ended_contacts():
     trace, workload = golden_scenario()
     sim = Simulation(
-        desk_sim_config(trace, workload, "bubblerap", DAY, 5, buffer_capacity=GOLDEN_CAPACITY)
+        desk_sim_config(trace, workload, "bubblerap", DAY, buffer_capacity=GOLDEN_CAPACITY)
     )
     times = []
     recompute = sim._on_recompute
@@ -526,7 +525,7 @@ def test_dlife_replicas_bounded_by_epidemic():
     trace, workload = desk_scenario(seed=6, node_count=9, days=2, messages=25)
     counts = {}
     for router in ("dlife", "epidemic"):
-        cfg = desk_sim_config(trace, workload, router, ttl=DAY, seed=6, buffer_capacity=10**12)
+        cfg = desk_sim_config(trace, workload, router, ttl=DAY, buffer_capacity=10**12)
         log = run_simulation(cfg)
         per_msg = {}
         for r in kinds(log, KIND_REPLICATED):

@@ -1,5 +1,5 @@
-"""`EventLog.to_ndjson` and `EventLog.to_csv` must write, byte for byte, what
-the per-record `json.dumps` and CSV reference serializers write."""
+"""`EventLog.to_csv` must write, byte for byte, what the per-record CSV
+reference serializer writes."""
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,7 +16,7 @@ from dtnsim.engine import (
     KIND_REPLICATED,
 )
 
-from oracles import event_log_csv, event_log_ndjson
+from oracles import event_log_csv
 
 KINDS = [
     KIND_CREATED,
@@ -43,21 +43,14 @@ record = st.builds(
 
 @given(st.lists(record, max_size=20))
 def test_serializers_match_reference(records):
-    log = EventLog(records)
-    assert log.to_ndjson() == event_log_ndjson(records)
-    assert log.to_csv() == event_log_csv(records)
+    assert EventLog(records).to_csv() == event_log_csv(records)
 
 
 def test_empty_log():
-    log = EventLog()
-    assert log.to_ndjson() == "" == event_log_ndjson([])
-    assert log.to_csv() == EVENT_LOG_CSV_HEADER + "\n" == event_log_csv([])
+    assert EventLog().to_csv() == EVENT_LOG_CSV_HEADER + "\n" == event_log_csv([])
 
 
 def test_record_shape():
     r = LogRecord(1.5, KIND_EXPIRED, "m00001", 3)
     assert r._fields == ("time", "kind", "msg", "node", "peer", "size")
-    assert EventLog([r]).to_ndjson() == (
-        '{"time":1.5,"kind":"expired_ttl","msg":"m00001","node":3,"peer":null,"size":null}\n'
-    )
     assert EventLog([r]).to_csv() == EVENT_LOG_CSV_HEADER + "\n1.5,expired_ttl,m00001,3,,\n"

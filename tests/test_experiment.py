@@ -148,6 +148,7 @@ def test_knobs_must_be_finite_and_positive(knob, value):
     ("workload", {"count": 20, "window": [0, 1], "min_size": 500, "max_size": 100},
      "workload.min_size"),
     ("workload", {"count": 20, "window": [0, 1], "max_size": 1.5}, "workload.max_size"),
+    ("seconds_per_day", 86401, "seconds_per_day"),  # not a multiple of samples_per_day
 ])
 def test_loader_rejects_unknown_keys_and_wrong_types(key, value, path):
     raw = base_config()
@@ -205,7 +206,6 @@ def test_benchmark_tracer_wraps_live_names():
         assert SocialLedger.__dict__["roll_sample"] is not original
         log = Simulation(cfg).run()
         log.to_csv()
-        log.to_ndjson()
         # a flood replicates, so the tracer's reads of the decision's
         # carrier messages and replicated rows must count something
         Simulation(dataclasses.replace(cfg, router="epidemic")).run()
@@ -213,7 +213,7 @@ def test_benchmark_tracer_wraps_live_names():
     wrapped = [
         "ledger.fragment", "ledger.roll", "ledger.importance", "ledger.weights",
         "routing.decide", "engine.init", "engine.run", "engine.recompute", "engine.admit",
-        "engine.transfer", "eventlog.csv", "eventlog.ndjson",
+        "engine.transfer", "eventlog.csv",
     ]
     assert [key for key in wrapped if key not in tracer.stats] == []
     # and the dlife run reaches each ledger and decision name
@@ -232,8 +232,8 @@ def test_readme_example_sets_every_engine_field(tmp_path):
     trace = ContactTrace.from_events([ContactEvent(0, 1, 0.0, 10.0)])
     (tmp_path / raw["trace"]).write_text(serialize_contact_trace(trace))
     cfg = load_experiment_config(raw, tmp_path)
-    # the sweep axes set a cell's router, ttl and seed; the grid sets sample
-    key_of = {"router": "routers", "ttl": "ttls", "seed": "seeds", "sample": "samples_per_day"}
+    # the sweep axes set a cell's router and ttl; the grid sets sample
+    key_of = {"router": "routers", "ttl": "ttls", "sample": "samples_per_day"}
     for f in dataclasses.fields(SimConfig):
         assert key_of.get(f.name, f.name) in raw, f.name
     assert "seconds_per_day" in raw
@@ -266,13 +266,20 @@ def test_run_experiment_artifacts(tmp_path):
 
     for seed in (1, 2):
         cell = cfg.out_dir / cell_dir_name("epidemic", 86400.0, seed)
-        assert (cell / "events.ndjson").exists()
-        assert (cell / "events.csv").exists()
+        assert {p.name for p in cell.iterdir()} == {"events.csv"}
 
     # reruns are byte-identical
     before = results_path.read_bytes(), aggregate_path.read_bytes()
     run_experiment(cfg)
     assert (results_path.read_bytes(), aggregate_path.read_bytes()) == before
+
+    dump_cfg = dataclasses.replace(cfg, out_dir=tmp_path / "dump")
+    run_experiment(dump_cfg, dump_ledgers=True)
+    cell = dump_cfg.out_dir / cell_dir_name("epidemic", 86400.0, 1)
+    assert {p.name for p in cell.iterdir()} == {
+        "events.csv", "ledger_pairs.csv", "ledger_importance.csv",
+        "communities.json", "centrality.csv",
+    }
 
 
 def test_run_experiment_parallel_matches_serial(tmp_path):

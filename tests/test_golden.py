@@ -1,8 +1,8 @@
-"""Golden event logs: the SHA-256 of `events.csv` and `events.ndjson` for
-every router, link model and drop policy on one small desk scenario, of
-`events.csv` for runs that charge summaries to the link, of the ledger
-dump of one `dlife` run, and of the community and centrality dumps of one
-`bubblerap` run whose horizon lies days past its last contact.
+"""Golden event logs: the SHA-256 of `events.csv` for every router, link
+model and drop policy on one small desk scenario and for runs that charge
+summaries to the link, of the ledger dump of one `dlife` run, and of the
+community and centrality dumps of one `bubblerap` run whose horizon lies
+days past its last contact.
 
 A change that must not alter behaviour (a refactor, a faster buffer or
 decision path) keeps every hash here; a change that alters a log on purpose
@@ -21,72 +21,40 @@ from dtnsim.socialgraph import centrality_csv, communities_json
 
 from scenarios import DAY, GOLDEN_CAPACITY, desk_sim_config, golden_scenario
 
-# (router, bandwidth, drop policy) -> (events.csv sha256, events.ndjson sha256)
+# (router, bandwidth, drop policy) -> events.csv sha256
 GOLDEN = {
-    ("dlife", None, "oldest_first"): (
+    ("dlife", None, "oldest_first"):
         "b4c77f580a61e24f43db662ec581c1e77f47d91221eb647952ad671047c51837",
-        "cc87f7e9c7278b960cc32eba5de785c44a38d1ec1d14f7cf71ee9617b3f427ee",
-    ),
-    ("dlife", None, "newest_first"): (
+    ("dlife", None, "newest_first"):
         "da70f5c42082cdfd71ff03d9ea84f1e2ad40eefab11601cab54ea4a560be2b63",
-        "ab8e3fdb8f86c79868b45c515ef70327ef884d456bffa4e933affc595d4059c2",
-    ),
-    ("dlife", MBPS_11, "oldest_first"): (
+    ("dlife", MBPS_11, "oldest_first"):
         "36b03cdb01622db4370071810cd05781559ffa70d4f3542e8731fa18095c0f0a",
-        "3bf4937dcf20cc6e025f6552d6c6b9053b4ec1773c067ed35b2bd912c0b56097",
-    ),
-    ("dlife", MBPS_11, "newest_first"): (
+    ("dlife", MBPS_11, "newest_first"):
         "792ae3cb19e7c1e16b1e9e56a8353b22f84954700151fd3a2c96a4c7e56ffc68",
-        "062619f6d8c3b7279929f73e1fe51002afbac7043549f2e2f4257697ca6ccdfb",
-    ),
-    ("dlifecomm", None, "oldest_first"): (
+    ("dlifecomm", None, "oldest_first"):
         "d4db56857e45eaf377aecd9d556f6c4f0c901d6a95750979af460b6538181d13",
-        "197de90c9dc2c56a85ff55ed55734b385a69fc576d641cafeb7bba4e14f1570e",
-    ),
-    ("dlifecomm", None, "newest_first"): (
+    ("dlifecomm", None, "newest_first"):
         "07e6a78e874609afe1148cf129ddda6797a735376189cc5fc12f333ea908356b",
-        "fe8598c948fb068845b06569135b18f031215c372eb356aeff71dc4db34512b0",
-    ),
-    ("dlifecomm", MBPS_11, "oldest_first"): (
+    ("dlifecomm", MBPS_11, "oldest_first"):
         "5262e081b8c5d0301500cd6dc0516127ab266d2806249be34690f16880d39df6",
-        "6ce8087383e0ab931ce6d2220ec6b8b3dad4314f3667f78dc282526ec59f573a",
-    ),
-    ("dlifecomm", MBPS_11, "newest_first"): (
+    ("dlifecomm", MBPS_11, "newest_first"):
         "4041e3c04e672e930e8c6fdf57757eccdba1b15ec1633489a57c30632e2d87f0",
-        "581c9874d4985056a37a458b56cd3c84b5e05b7380352a721d05247d7d2d7bf2",
-    ),
-    ("bubblerap", None, "oldest_first"): (
+    ("bubblerap", None, "oldest_first"):
         "2b93f774ccd46ca9da6e673a48d6e807b0e4658a91121a356037c5cc2836f5e9",
-        "7d1bccb8dbdb5dec19c4c34430fc60c7f5aa715a50a07de35aa55b0c457e7a01",
-    ),
-    ("bubblerap", None, "newest_first"): (
+    ("bubblerap", None, "newest_first"):
         "5ade831db6ed748f727610fc9265bde65f6f3754edd1c4bb47d89dd2bb67320e",
-        "414966b50143864cfc6c1535d80600d4fc64b3dc1a387ec13ef749cda641f1ad",
-    ),
-    ("bubblerap", MBPS_11, "oldest_first"): (
+    ("bubblerap", MBPS_11, "oldest_first"):
         "7197fb1a032a24857ee00abf8198c6c6c00683244de43d43315ba2a96e783289",
-        "efb391dc0f1c89346df5f13575b74d718bee2b2d659989696a35bc6e6ccbe669",
-    ),
-    ("bubblerap", MBPS_11, "newest_first"): (
+    ("bubblerap", MBPS_11, "newest_first"):
         "409255fd40536de62da5bf7e9630e57ed147917ddd2a6e081c0b5c980c810ec8",
-        "45c74d6a6f9a1151761a7e8aa263b75903c49cc28608c1da52dd9095722390c0",
-    ),
-    ("epidemic", None, "oldest_first"): (
+    ("epidemic", None, "oldest_first"):
         "b4b51f964cc7cc52a5e5684f77915803dfe44d2da273837cb92d9050aa1587b1",
-        "7fad4690b0bfef3a5c6db8ad2ba760f3799005554b5d67151ce522fa2095f316",
-    ),
-    ("epidemic", None, "newest_first"): (
+    ("epidemic", None, "newest_first"):
         "b7291c8e3a973d90978319e2e7c9d3f729c9536ffc070337cbfde2af22c044e4",
-        "1a1fa09653a071e9a7b96e79608afd340f4905b9ea203069dae4f2a641b4eeb6",
-    ),
-    ("epidemic", MBPS_11, "oldest_first"): (
+    ("epidemic", MBPS_11, "oldest_first"):
         "1f80ab51c6ce98f201b5a81ccb590fd5297e059be2970b1d1bd84f7444502b58",
-        "643168686e66a568a5a342b1e8ce23293a9efcbcc581744894351d58152e68c5",
-    ),
-    ("epidemic", MBPS_11, "newest_first"): (
+    ("epidemic", MBPS_11, "newest_first"):
         "1f667f179e9fd6bc038726cba0bfab01b0323e02b5b7b850687dc781c7fd3dba",
-        "59fc79a379f95412ac420afe07c9d6f56981abe7d4357c272dabd516ef2181d5",
-    ),
 }
 
 # charge_summaries at 11 Mbps, oldest first: router -> events.csv sha256
@@ -127,7 +95,6 @@ def test_golden_event_log(scenario, router, bandwidth, drop_policy):
         workload,
         router,
         ttl=DAY,
-        seed=5,
         buffer_capacity=GOLDEN_CAPACITY,
         bandwidth=bandwidth,
         drop_policy=drop_policy,
@@ -136,8 +103,7 @@ def test_golden_event_log(scenario, router, bandwidth, drop_policy):
     kinds = {r.kind for r in log}
     assert KIND_DROPPED in kinds
     assert (KIND_ABORTED in kinds) == (bandwidth is not None)
-    digests = (sha256(log.to_csv()), sha256(log.to_ndjson()))
-    assert digests == GOLDEN[(router, bandwidth, drop_policy)]
+    assert sha256(log.to_csv()) == GOLDEN[(router, bandwidth, drop_policy)]
 
 
 @pytest.mark.parametrize("router", sorted(GOLDEN_CHARGED))
@@ -148,7 +114,6 @@ def test_golden_charged_summaries(scenario, router):
         workload,
         router,
         ttl=DAY,
-        seed=5,
         buffer_capacity=GOLDEN_CAPACITY,
         bandwidth=MBPS_11,
         charge_summaries=True,
@@ -159,7 +124,7 @@ def test_golden_charged_summaries(scenario, router):
 def test_golden_ledger_dump(scenario):
     trace, workload = scenario
     sim = Simulation(
-        desk_sim_config(trace, workload, "dlife", ttl=DAY, seed=5, buffer_capacity=GOLDEN_CAPACITY)
+        desk_sim_config(trace, workload, "dlife", ttl=DAY, buffer_capacity=GOLDEN_CAPACITY)
     )
     sim.run()
     pair_csv, imp_csv = dump_ledgers_csv(sim.final_ledger())
@@ -170,7 +135,7 @@ def test_golden_social_dump_past_the_last_contact(scenario):
     trace, workload = scenario
     sim = Simulation(
         desk_sim_config(
-            trace, workload, "bubblerap", ttl=4 * DAY, seed=5, buffer_capacity=GOLDEN_CAPACITY
+            trace, workload, "bubblerap", ttl=4 * DAY, buffer_capacity=GOLDEN_CAPACITY
         )
     )
     sim.run()
