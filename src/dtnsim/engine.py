@@ -259,6 +259,24 @@ def transfer_within_contact(
     return completed, []
 
 
+class _Direction:
+    """One direction of an ongoing contact: what its sender has committed to
+    the receiver, and what changed since its last scan."""
+
+    __slots__ = ("dst", "sent", "inputs", "pending")
+
+    def __init__(self, dst: int):
+        self.dst = dst
+        # rows committed to this contact (done, in flight, or abandoned)
+        self.sent: set[int] = set()
+        # the decision inputs of the last scan; None until the first one
+        self.inputs: tuple | None = None
+        # rows that entered the sender, or left the receiver by eviction or
+        # community deletion, since the last scan: the only rows whose
+        # answer can have changed while the inputs stay the same
+        self.pending: set[int] = set()
+
+
 class _OngoingContact:
     """Book-keeping for a contact that is currently up."""
 
@@ -266,8 +284,9 @@ class _OngoingContact:
         self.event = event
         self.busy_until = busy_until
         a, b = event.node_a, event.node_b
-        # per direction: rows committed to this contact (done, in flight, or abandoned)
-        self.sent: dict[tuple[int, int], set[int]] = {(a, b): set(), (b, a): set()}
+        ab, ba = _Direction(b), _Direction(a)
+        self.by_sender = {a: ab, b: ba}
+        self.by_receiver = {b: ab, a: ba}
         self.aborts: list[tuple[int, int, int]] = []  # (from, to, row), logged at contact end
 
 
@@ -311,6 +330,7 @@ class Simulation:
         self.ongoing_by_node: dict[int, set[int]] = {i: set() for i in range(n)}
         self.communities = CommunityMap.empty()
         self.centralities = CentralityTable.empty(cfg.centrality_window)
+        self._recomputes = 0  # a decision input: each recompute may change every answer
         # the contact history that the community recompute reads, kept (as
         # contacts end) only for the routers that recompute
         self.pair_seconds: dict[tuple[int, int], float] = {}
@@ -481,19 +501,22 @@ class Simulation:
             if not receiver.holds(row):
                 self._admit(time, receiver, m)
                 self.log.append(LogRecord(time, KIND_REPLICATED, m.id, src, dst))
-                self._queue_evals(dst)
         if delete_after and self.nodes[src].holds(row):
             self.nodes[src].remove(row)
             self.holders[row] &= ~(1 << src)
+            self._mark_departed(src, row)
             self.log.append(LogRecord(time, KIND_DELETED_COMMUNITY, m.id, src))
 
     def _admit(self, time: float, node: NodeRuntime, m: Message) -> None:
         # every message fits an empty buffer (checked at startup), so it is admitted
+        node_id = node.node_id
         _, evicted = buffer_admit(node, m, self.cfg.drop_policy)
         for victim in evicted:
-            self.holders[victim.row] &= ~(1 << node.node_id)
-            self.log.append(LogRecord(time, KIND_DROPPED, victim.id, node.node_id))
-        self.holders[m.row] |= 1 << node.node_id
+            self.holders[victim.row] &= ~(1 << node_id)
+            self._mark_departed(node_id, victim.row)
+            self.log.append(LogRecord(time, KIND_DROPPED, victim.id, node_id))
+        self.holders[m.row] |= 1 << node_id
+        self._queue_evals(node_id, m.row)
 
     def _on_contact_end(self, time: float, index: int) -> None:
         oc = self.ongoing.pop(index)
@@ -520,6 +543,7 @@ class Simulation:
         # contact ends sort before a recompute at the same instant, so the
         # history holds exactly the contacts ended by `time`
         self._push_boundary(_PRI_RECOMPUTE, n + 1)
+        self._recomputes += 1
         graph = build_familiar_graph(self.pair_seconds, self.cfg.familiar_threshold)
         self.communities = k_clique_communities(graph, self.cfg.k)
         self.centralities = self.meetings.centrality(self.communities, time)
@@ -529,7 +553,6 @@ class Simulation:
         self._admit(time, self.nodes[m.source], m)
         self.log.append(LogRecord(time, KIND_CREATED, m.id, m.source, m.destination, m.size))
         self._push(m.expires_at, _PRI_EXPIRE, 0, 0, row)
-        self._queue_evals(m.source)
 
     def _on_contact_start(self, time: float, index: int) -> None:
         ev = self.cfg.trace.events[index]
@@ -550,19 +573,28 @@ class Simulation:
 
     # -- decisions ---------------------------------------------------------
 
-    def _queue_evals(self, node_id: int) -> None:
-        # A message just entered node_id's buffer, so re-evaluate node_id's
-        # outbound directions. Inbound directions are not re-run: their only
-        # possible gain is re-sending a message the receiver just evicted,
-        # which (like the per-contact sent set) is suppressed until the next
-        # contact to keep buffer churn from looping at one instant.
+    def _queue_evals(self, node_id: int, row: int) -> None:
+        # Row `row` just entered node_id's buffer: mark it pending on
+        # node_id's outbound directions and queue them for a scan. A row
+        # leaving a receiver queues no scan, which keeps buffer churn from
+        # looping at one instant; it waits as a pending row for the next scan
+        # of that direction, which may copy it to the receiver again on this
+        # same contact. Only rows in the direction's sent set stay suppressed
+        # until the contact ends.
         for index in sorted(self.ongoing_by_node[node_id]):
-            ev = self.ongoing[index].event
-            other = ev.node_b if ev.node_a == node_id else ev.node_a
-            key = (index, node_id, other)
+            direction = self.ongoing[index].by_sender[node_id]
+            direction.pending.add(row)
+            key = (index, node_id, direction.dst)
             if key not in self._evals_pending:
                 self._evals_pending.add(key)
                 self._evals.append(key)
+
+    def _mark_departed(self, node_id: int, row: int) -> None:
+        # Row `row` left node_id's buffer, so the senders of node_id's
+        # inbound directions may offer it again at their next scan. Expiry
+        # needs no mark: the row leaves every buffer at once.
+        for index in self.ongoing_by_node[node_id]:
+            self.ongoing[index].by_receiver[node_id].pending.add(row)
 
     def _drain_evals(self, time: float) -> None:
         while self._evals:
@@ -579,22 +611,50 @@ class Simulation:
         self._evaluate_direction(oc, b, a, time)
 
     def _evaluate_direction(self, oc: _OngoingContact, src: int, dst: int, time: float) -> None:
+        # A row the last scan answered "no" can change its answer only when
+        # it enters the sender or leaves the receiver (it is then pending)
+        # or when the decision inputs change; a "yes" is in the sent set. So
+        # with the same inputs as the last scan on this contact, only the
+        # pending rows are offered, and otherwise the whole buffer.
+        direction = oc.by_sender[src]
         sender = self.nodes[src]
-        if not sender.buffer:
-            return
         receiver = self.nodes[dst]
-        if self._reads_ledger:
-            ledger = self.ledger
-            sender_weights = ledger.weights_to_all_neighbors(src)
-            sender_importance = ledger.importance(src)
-            peer_weights = ledger.weights_to_all_neighbors(dst)
-            peer_importance = ledger.importance(dst)
+        ledger = self.ledger if self._reads_ledger else None
+        if ledger is None:
+            inputs = (self._recomputes,)
         else:
+            sender_importance = ledger.importance(src)
+            peer_importance = ledger.importance(dst)
+            inputs = (self._recomputes, ledger.clock, peer_importance > sender_importance)
+        sent = direction.sent
+        pending = direction.pending
+        # rows this decision makes the receiver evict belong to the next scan
+        direction.pending = set()
+        if direction.inputs == inputs:
+            ours, theirs, delivered = sender.buffer, receiver.buffer, receiver.delivered
+            rows = [
+                r for r in pending
+                if r in ours and r not in theirs and r not in delivered and r not in sent
+            ]
+            if not rows:
+                return
+            messages = sorted([ours[r] for r in rows], key=_ORDER_KEY)
+            held_rows = ()
+        else:
+            direction.inputs = inputs
+            held_rows = _already_held(sender, receiver, sent)
+            if len(held_rows) == len(sender.buffer):
+                return
+            messages = sender.ordered
+        if ledger is None:
             sender_weights = peer_weights = _NO_WEIGHTS
             sender_importance = peer_importance = 0.0
+        else:
+            sender_weights = ledger.weights_to_all_neighbors(src)
+            peer_weights = ledger.weights_to_all_neighbors(dst)
         carrier = CarrierState(
             node_id=src,
-            messages=sender.ordered,
+            messages=messages,
             weights=sender_weights,
             importance=sender_importance,
         )
@@ -602,7 +662,7 @@ class Simulation:
             node_id=dst,
             weights=peer_weights,
             importance=peer_importance,
-            buffered=_already_held(sender, receiver, oc.sent[(src, dst)]),
+            buffered=held_rows,
         )
         decision = decide(self.cfg.router, carrier, peer, self.communities, self.centralities)
         if not decision.replicate:
@@ -614,7 +674,7 @@ class Simulation:
     ) -> None:
         # every offered row is committed to this contact: done, in flight, or
         # aborted because the link is saturated, which is not retried
-        oc.sent[(src, dst)].update(decision.replicate)
+        oc.by_sender[src].sent.update(decision.replicate)
         delete_rows = set(decision.delete_after)
         msgs = [self.rows[row] for row in decision.replicate]
         if self.cfg.bandwidth is None:

@@ -4,7 +4,11 @@ flooding baseline.
 
 Routers are pure functions of explicit state snapshots: same inputs, same
 decision. All comparisons are strict, so ties never replicate, and delivery
-to the destination itself bypasses every comparison.
+to the destination itself bypasses every comparison. Each message is decided
+on its own, so a router asked about a subset of the carrier's messages
+answers for each as it would in the whole list. The routers read importance
+only as `peer.importance > carrier.importance`, so the engine treats that
+comparison, not the two values, as a decision input.
 """
 
 from __future__ import annotations
@@ -34,9 +38,10 @@ class RouterDecision:
 
 @dataclass(frozen=True)
 class CarrierState:
-    """The deciding node: its buffered messages in creation-time order (the
-    buffer's own list, read only during the decision), its current-sample
-    weights toward known peers, and its importance."""
+    """The deciding node: the buffered messages to decide on, in
+    creation-time order (the buffer's own list, read only during the
+    decision, or the part of it that changed since the last decision), its
+    current-sample weights toward known peers, and its importance."""
 
     node_id: int
     messages: Sequence[Message]

@@ -17,6 +17,7 @@ from dtnsim import (
     LedgerOrderingError,
     SampleConfig,
     SampleSlot,
+    Simulation,
     WindowMeetings,
 )
 from dtnsim.contacts import slot_from_linear
@@ -30,6 +31,7 @@ from dtnsim.engine import (
     KIND_EXPIRED,
     KIND_REPLICATED,
 )
+from dtnsim.routing import LEDGER_ROUTERS, CarrierState, PeerSummary, decide
 
 
 def cumulative_average(values):
@@ -442,3 +444,33 @@ def event_log_csv(records):
     lines = [EVENT_LOG_CSV_HEADER]
     lines.extend(record_csv_row(r) for r in records)
     return "\n".join(lines) + "\n"
+
+
+class FullScanSimulation(Simulation):
+    """The engine with a decision path that keeps no state between scans:
+    every scan offers the sender's whole buffer to the router, with the
+    receiver's buffer, its deliveries and the contact's sent set as the
+    peer's holdings. Equal event logs from this and `Simulation` show that
+    offering only the pending rows decides exactly as a full scan does."""
+
+    def _evaluate_direction(self, oc, src, dst, time):
+        sender = self.nodes[src]
+        if not sender.buffer:
+            return
+        receiver = self.nodes[dst]
+        sent = oc.by_sender[src].sent
+        held = {
+            row for row in sender.buffer
+            if row in receiver.buffer or row in receiver.delivered or row in sent
+        }
+        if self.cfg.router in LEDGER_ROUTERS:
+            ledger = self.ledger
+            weights = ledger.weights_to_all_neighbors(src), ledger.weights_to_all_neighbors(dst)
+            importance = ledger.importance(src), ledger.importance(dst)
+        else:
+            weights, importance = ({}, {}), (0.0, 0.0)
+        carrier = CarrierState(src, sender.ordered, weights[0], importance[0])
+        peer = PeerSummary(dst, weights[1], importance[1], held)
+        decision = decide(self.cfg.router, carrier, peer, self.communities, self.centralities)
+        if decision.replicate:
+            self._apply_decision(oc, src, dst, time, decision)
