@@ -175,8 +175,8 @@ class NodeRuntime:
     """One simulated node's bounded buffer, keyed by workload row.
 
     The buffer keeps two records of the same messages: `buffer`, row to
-    message, and `ordered`, in `Message.order_key` order as messages come
-    and go, so eviction takes an end of it and a decision reads it as is.
+    message, which decisions filter, and `ordered`, in `Message.order_key`
+    order as messages come and go, so eviction takes an end of it.
     """
 
     def __init__(self, node_id: int, capacity: int):
@@ -185,8 +185,8 @@ class NodeRuntime:
         self.buffer: dict[int, Message] = {}
         self.ordered: list[Message] = []
         self.occupancy = 0
-        # rows of the messages this node received as final recipient;
-        # advertised in its summary so carriers do not replicate them again
+        # rows of the messages this node received as final recipient; the
+        # candidate filter reads it so carriers do not replicate them again
         self.delivered: set[int] = set()
 
     def holds(self, row: int) -> bool:
@@ -288,18 +288,6 @@ class _OngoingContact:
         self.by_sender = {a: ab, b: ba}
         self.by_receiver = {b: ab, a: ba}
         self.aborts: list[tuple[int, int, int]] = []  # (from, to, row), logged at contact end
-
-
-def _already_held(sender: NodeRuntime, receiver: NodeRuntime, sent: set[int]) -> set[int]:
-    """The sender's message rows that the receiver buffers, was delivered,
-    or was sent on this contact. A decision asks only about the sender's
-    messages, and intersecting with their few rows costs less than a union
-    of the receiver's whole buffer and delivery history."""
-    offered = sender.buffer.keys()
-    held = offered & receiver.buffer.keys()
-    held |= offered & receiver.delivered
-    held |= offered & sent
-    return held
 
 
 class Simulation:
@@ -615,7 +603,8 @@ class Simulation:
         # it enters the sender or leaves the receiver (it is then pending)
         # or when the decision inputs change; a "yes" is in the sent set. So
         # with the same inputs as the last scan on this contact, only the
-        # pending rows are offered, and otherwise the whole buffer.
+        # pending rows are looked at, and otherwise the whole buffer. Either
+        # way one filter keeps the candidates, and the router sees only those.
         direction = oc.by_sender[src]
         sender = self.nodes[src]
         receiver = self.nodes[dst]
@@ -626,26 +615,25 @@ class Simulation:
             sender_importance = ledger.importance(src)
             peer_importance = ledger.importance(dst)
             inputs = (self._recomputes, ledger.clock, peer_importance > sender_importance)
-        sent = direction.sent
-        pending = direction.pending
-        # rows this decision makes the receiver evict belong to the next scan
-        direction.pending = set()
         if direction.inputs == inputs:
-            ours, theirs, delivered = sender.buffer, receiver.buffer, receiver.delivered
-            rows = [
-                r for r in pending
-                if r in ours and r not in theirs and r not in delivered and r not in sent
-            ]
-            if not rows:
-                return
-            messages = sorted([ours[r] for r in rows], key=_ORDER_KEY)
-            held_rows = ()
+            rows = direction.pending
         else:
             direction.inputs = inputs
-            held_rows = _already_held(sender, receiver, sent)
-            if len(held_rows) == len(sender.buffer):
-                return
-            messages = sender.ordered
+            rows = sender.buffer
+        # rows this decision makes the receiver evict belong to the next scan
+        direction.pending = set()
+        # the only candidate filter: rows the sender holds that the receiver
+        # neither buffers nor was delivered, and that this contact has not
+        # sent; filtered as ints, so only the candidates are sorted
+        ours, theirs, delivered = sender.buffer, receiver.buffer, receiver.delivered
+        sent = direction.sent
+        rows = [
+            r for r in rows
+            if r in ours and r not in theirs and r not in delivered and r not in sent
+        ]
+        if not rows:
+            return
+        messages = sorted([ours[r] for r in rows], key=_ORDER_KEY)
         if ledger is None:
             sender_weights = peer_weights = _NO_WEIGHTS
             sender_importance = peer_importance = 0.0
@@ -658,12 +646,7 @@ class Simulation:
             weights=sender_weights,
             importance=sender_importance,
         )
-        peer = PeerSummary(
-            node_id=dst,
-            weights=peer_weights,
-            importance=peer_importance,
-            buffered=held_rows,
-        )
+        peer = PeerSummary(node_id=dst, weights=peer_weights, importance=peer_importance)
         decision = decide(self.cfg.router, carrier, peer, self.communities, self.centralities)
         if not decision.replicate:
             return

@@ -3,18 +3,21 @@ fallback, its community-aware variant, centrality bubble routing, and a
 flooding baseline.
 
 Routers are pure functions of explicit state snapshots: same inputs, same
-decision. All comparisons are strict, so ties never replicate, and delivery
-to the destination itself bypasses every comparison. Each message is decided
-on its own, so a router asked about a subset of the carrier's messages
-answers for each as it would in the whole list. The routers read importance
-only as `peer.importance > carrier.importance`, so the engine treats that
+decision. The caller hands a router only the candidates: messages the
+carrier buffers that the peer neither holds, nor was delivered, nor was sent
+on this contact. A router decides on each of them and filters nothing. All
+comparisons are strict, so ties never replicate, and delivery to the
+destination itself bypasses every comparison. Each message is decided on its
+own, so a router asked about a subset of the candidates answers for each as
+it would in the whole list. The routers read importance only as
+`peer.importance > carrier.importance`, so the engine treats that
 comparison, not the two values, as a decision input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Container, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .socialgraph import CentralityTable, CommunityMap
 from .workload import Message
@@ -38,10 +41,10 @@ class RouterDecision:
 
 @dataclass(frozen=True)
 class CarrierState:
-    """The deciding node: the buffered messages to decide on, in
-    creation-time order (the buffer's own list, read only during the
-    decision, or the part of it that changed since the last decision), its
-    current-sample weights toward known peers, and its importance."""
+    """The deciding node: the candidates to decide on, in creation-time
+    order (only messages it buffers and the peer lacks; the caller filters
+    them), its current-sample weights toward known peers, and its
+    importance."""
 
     node_id: int
     messages: Sequence[Message]
@@ -52,21 +55,13 @@ class CarrierState:
 @dataclass(frozen=True)
 class PeerSummary:
     """What the encountered node reports at contact time: weights toward all
-    its known peers for the current sample, its importance, and the workload
-    rows of the messages it already holds (only asked, with `in`, about the
-    carrier's messages)."""
+    its known peers for the current sample and its importance. What it holds
+    is not here: the caller has already left those messages out of the
+    carrier's candidates."""
 
     node_id: int
     weights: Mapping[int, float]
     importance: float
-    buffered: Container[int]
-
-
-def _candidates(carrier: CarrierState, peer: PeerSummary):
-    for m in carrier.messages:
-        if m.row in peer.buffered or m.destination == carrier.node_id:
-            continue
-        yield m
 
 
 def epidemic_on_contact(
@@ -75,8 +70,8 @@ def epidemic_on_contact(
     communities: CommunityMap,
     centralities: CentralityTable,
 ) -> RouterDecision:
-    """Flood: copy everything the peer lacks."""
-    return RouterDecision(tuple(m.row for m in _candidates(carrier, peer)))
+    """Flood: copy every message handed in (each one the peer lacks)."""
+    return RouterDecision(tuple(m.row for m in carrier.messages))
 
 
 def dlife_on_contact(
@@ -88,7 +83,7 @@ def dlife_on_contact(
     """Copy when the peer has a strictly stronger routine tie to the
     destination; otherwise fall back to comparing node importance."""
     replicate = []
-    for m in _candidates(carrier, peer):
+    for m in carrier.messages:
         if m.destination == peer.node_id:
             replicate.append(m.row)
         elif peer.weights.get(m.destination, 0.0) > carrier.weights.get(m.destination, 0.0):
@@ -111,7 +106,7 @@ def dlifecomm_on_contact(
     replicate, delete_after = [], []
     carrier_comms = communities.communities_of(carrier.node_id)
     peer_comms = communities.communities_of(peer.node_id)
-    for m in _candidates(carrier, peer):
+    for m in carrier.messages:
         dest_comms = communities.communities_of(m.destination)
         peer_inside = bool(peer_comms & dest_comms)
         if m.destination == peer.node_id:
@@ -141,7 +136,7 @@ def bubblerap_on_contact(
     peer_comms = communities.communities_of(peer.node_id)
     peer_global = centralities.global_of(peer.node_id)
     carrier_global = centralities.global_of(carrier.node_id)
-    for m in _candidates(carrier, peer):
+    for m in carrier.messages:
         dest_comms = communities.communities_of(m.destination)
         peer_shared = peer_comms & dest_comms
         carrier_shared = carrier_comms & dest_comms

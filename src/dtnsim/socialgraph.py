@@ -53,10 +53,6 @@ class CommunityMap:
     def communities_of(self, node: int) -> frozenset[int]:
         return self._membership.get(node, frozenset())
 
-    def shares_community(self, a: int, b: int) -> bool:
-        """Any-of membership test: do the two nodes co-occur in some community?"""
-        return bool(self.communities_of(a) & self.communities_of(b))
-
 
 def _percolate(cliques: Sequence[frozenset[int]], k: int) -> list[frozenset[int]]:
     # Union-find over maximal cliques; two are in one community when they

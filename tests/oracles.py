@@ -448,29 +448,31 @@ def event_log_csv(records):
 
 class FullScanSimulation(Simulation):
     """The engine with a decision path that keeps no state between scans:
-    every scan offers the sender's whole buffer to the router, with the
-    receiver's buffer, its deliveries and the contact's sent set as the
-    peer's holdings. Equal event logs from this and `Simulation` show that
-    offering only the pending rows decides exactly as a full scan does."""
+    every scan walks the sender's whole buffer in creation order and offers
+    the router each message that is not in the receiver's buffer, its
+    deliveries or the contact's sent set. Equal event logs from this and
+    `Simulation` show that looking only at the pending rows decides exactly
+    as a full scan does."""
 
     def _evaluate_direction(self, oc, src, dst, time):
         sender = self.nodes[src]
-        if not sender.buffer:
-            return
         receiver = self.nodes[dst]
         sent = oc.by_sender[src].sent
-        held = {
-            row for row in sender.buffer
-            if row in receiver.buffer or row in receiver.delivered or row in sent
-        }
+        candidates = [
+            m for m in sender.ordered
+            if m.row not in receiver.buffer and m.row not in receiver.delivered
+            and m.row not in sent
+        ]
+        if not candidates:
+            return
         if self.cfg.router in LEDGER_ROUTERS:
             ledger = self.ledger
             weights = ledger.weights_to_all_neighbors(src), ledger.weights_to_all_neighbors(dst)
             importance = ledger.importance(src), ledger.importance(dst)
         else:
             weights, importance = ({}, {}), (0.0, 0.0)
-        carrier = CarrierState(src, sender.ordered, weights[0], importance[0])
-        peer = PeerSummary(dst, weights[1], importance[1], held)
+        carrier = CarrierState(src, candidates, weights[0], importance[0])
+        peer = PeerSummary(dst, weights[1], importance[1])
         decision = decide(self.cfg.router, carrier, peer, self.communities, self.centralities)
         if decision.replicate:
             self._apply_decision(oc, src, dst, time, decision)

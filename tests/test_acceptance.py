@@ -348,13 +348,13 @@ def test_criterion_7_rank_invariances():
         peer_id = rng.randint(1, peers)
         base = dlife_on_contact(
             CarrierState(0, msgs, base_w, importance_c),
-            PeerSummary(peer_id, {k: 2.0 * v for k, v in base_w.items()}, importance_p, frozenset()),
+            PeerSummary(peer_id, {k: 2.0 * v for k, v in base_w.items()}, importance_p),
             *social,
         )
         scaled = dlife_on_contact(
             CarrierState(0, msgs, scaled_w, importance_c),
             PeerSummary(
-                peer_id, {k: 2.0 * v for k, v in scaled_w.items()}, importance_p, frozenset()
+                peer_id, {k: 2.0 * v for k, v in scaled_w.items()}, importance_p
             ),
             *social,
         )
@@ -366,7 +366,7 @@ def test_criterion_7_rank_invariances():
     for weights in ({}, {3: 5.0}):
         decision = dlife_on_contact(
             CarrierState(0, tie_msgs, weights, 0.6),
-            PeerSummary(1, dict(weights), 0.6, frozenset()),
+            PeerSummary(1, dict(weights), 0.6),
             *social,
         )
         assert decision.replicate == ()

@@ -28,8 +28,8 @@ def carrier(messages, weights=None, importance=0.0, node_id=0):
     return CarrierState(node_id, tuple(messages), weights or {}, importance)
 
 
-def peer(node_id=1, weights=None, importance=0.0, buffered=()):
-    return PeerSummary(node_id, weights or {}, importance, frozenset(buffered))
+def peer(node_id=1, weights=None, importance=0.0):
+    return PeerSummary(node_id, weights or {}, importance)
 
 
 def epidemic(state, other):
@@ -41,25 +41,13 @@ def dlife(state, other):
 
 
 def test_epidemic_floods_missing():
-    msgs = [msg(i, destination=5) for i in range(5)]
-    decision = epidemic(carrier(msgs), peer(buffered={0, 3}))
+    # the caller hands in only messages the peer lacks; epidemic copies each
+    msgs = [msg(i, destination=5) for i in (1, 2, 4)]
+    decision = epidemic(carrier(msgs), peer())
     assert decision.replicate == (1, 2, 4)
     assert decision.delete_after == ()
 
-    assert epidemic(carrier(msgs), peer(buffered={m.row for m in msgs})).replicate == ()
     assert epidemic(carrier([]), peer()).replicate == ()
-
-
-def test_no_router_replicates_held_or_own_messages():
-    own = msg(0, source=3, destination=0)  # addressed to the carrier
-    held = msg(1, destination=9)
-    communities = CommunityMap.empty()
-    centralities = CentralityTable.empty()
-    state = carrier([own, held], weights={9: 5.0}, importance=2.0)
-    other = peer(weights={}, importance=0.0, buffered={1})
-    for name in ("epidemic", "dlife", "dlifecomm", "bubblerap"):
-        decision = decide(name, state, other, communities, centralities)
-        assert decision.replicate == ()
 
 
 def test_dlife_weight_rule():
@@ -99,7 +87,7 @@ def test_delivery_short_circuit_all_routers():
 def test_dlife_decisions_deterministic():
     msgs = [msg(i, destination=4 + i % 3) for i in range(6)]
     state = carrier(msgs, weights={4: 1.0, 5: 0.2}, importance=0.5)
-    other = peer(weights={4: 2.0, 6: 0.1}, importance=0.4, buffered={2})
+    other = peer(weights={4: 2.0, 6: 0.1}, importance=0.4)
     first = dlife(state, other)
     for _ in range(5):
         assert dlife(state, other) == first
@@ -221,7 +209,6 @@ def test_router_decision_subset_invariants():
     centralities = CentralityTable({i: float(i) for i in range(10)}, {(2, 0): 1.0}, 60.0, 1)
     for _ in range(200):
         msgs = [msg(i, destination=rng.randrange(2, 10)) for i in range(rng.randint(0, 5))]
-        held = {m.row for m in msgs if rng.random() < 0.3}
         state = carrier(
             msgs, {d: rng.uniform(0, 5) for d in range(10)}, rng.uniform(0, 2), node_id=0
         )
@@ -229,11 +216,9 @@ def test_router_decision_subset_invariants():
             node_id=rng.randrange(1, 10),
             weights={d: rng.uniform(0, 5) for d in range(10)},
             importance=rng.uniform(0, 2),
-            buffered=held,
         )
         for name in ("epidemic", "dlife", "dlifecomm", "bubblerap"):
             decision = decide(name, state, other, communities, centralities)
             assert set(decision.delete_after) <= set(decision.replicate)
-            assert not (set(decision.replicate) & held)
             buffered_rows = {m.row for m in msgs}
             assert set(decision.replicate) <= buffered_rows

@@ -59,8 +59,9 @@ def test_kclique_triangles_sharing_node_stay_apart():
     cm = k_clique_communities(g, 3)
     assert set(cm.communities) == {frozenset({0, 1, 2}), frozenset({2, 3, 4})}
     assert cm.communities_of(2) == frozenset({0, 1})
-    assert cm.shares_community(0, 2) and cm.shares_community(2, 4)
-    assert not cm.shares_community(0, 4)
+    assert cm.communities_of(0) & cm.communities_of(2)
+    assert cm.communities_of(2) & cm.communities_of(4)
+    assert not cm.communities_of(0) & cm.communities_of(4)
     with pytest.raises(ValueError):
         k_clique_communities(g, 2)
 
@@ -228,7 +229,7 @@ def test_window_meetings_match_rescan(history):
 def test_empty_community_map():
     cm = CommunityMap.empty()
     assert cm.communities_of(3) == frozenset()
-    assert not cm.shares_community(1, 2)
+    assert not cm.communities_of(1) & cm.communities_of(2)
     assert CentralityTable.empty().global_of(0) == 0.0
 
 
