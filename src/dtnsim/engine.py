@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
 from types import MappingProxyType
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .contacts import (
     ContactEvent,
@@ -63,6 +63,9 @@ KIND_DELETED_COMMUNITY = "deleted_community_rule"
 KIND_ABORTED = "transfer_aborted"
 
 EVENT_LOG_CSV_HEADER = "time,kind,msg,node,peer,size"
+# records per piece of `EventLog.csv_chunks`: a writer holds one piece of the
+# text at a time, not the whole log's
+CSV_CHUNK_RECORDS = 8192
 
 DROP_POLICIES = ("oldest_first", "newest_first")
 
@@ -70,6 +73,7 @@ DROP_POLICIES = ("oldest_first", "newest_first")
 _NO_WEIGHTS = MappingProxyType({})
 
 _ORDER_KEY = attrgetter("order_key")
+_DIRECTION_KEY = attrgetter("key")
 
 
 class SimStartupError(ValueError):
@@ -107,15 +111,21 @@ class EventLog:
     def __len__(self) -> int:
         return len(self.records)
 
-    def to_csv(self) -> str:
-        """`EVENT_LOG_CSV_HEADER` and one row per record; an absent peer or
+    def csv_chunks(self, chunk_records: int = CSV_CHUNK_RECORDS) -> Iterator[str]:
+        """The CSV text in pieces: the `EVENT_LOG_CSV_HEADER` line, then the
+        rows of up to `chunk_records` records at a time. An absent peer or
         size is an empty field."""
-        rows = [EVENT_LOG_CSV_HEADER + "\n"]
-        rows += [
-            f'{t!r},{k},{m},{n},{"" if p is None else p},{"" if s is None else s}\n'
-            for t, k, m, n, p, s in self.records
-        ]
-        return "".join(rows)
+        yield EVENT_LOG_CSV_HEADER + "\n"
+        records = self.records
+        for start in range(0, len(records), chunk_records):
+            yield "".join([
+                f'{t!r},{k},{m},{n},{"" if p is None else p},{"" if s is None else s}\n'
+                for t, k, m, n, p, s in records[start:start + chunk_records]
+            ])
+
+    def to_csv(self) -> str:
+        """The whole CSV text: the chunks joined."""
+        return "".join(self.csv_chunks())
 
 
 @dataclass(frozen=True)
@@ -263,9 +273,12 @@ class _Direction:
     """One direction of an ongoing contact: what its sender has committed to
     the receiver, and what changed since its last scan."""
 
-    __slots__ = ("dst", "sent", "inputs", "pending")
+    __slots__ = ("key", "dst", "sent", "inputs", "pending")
 
-    def __init__(self, dst: int):
+    def __init__(self, index: int, src: int, dst: int):
+        # (contact index, sender, receiver): its entry in the scan queue, and
+        # in contact-index order among a node's directions
+        self.key = (index, src, dst)
         self.dst = dst
         # rows committed to this contact (done, in flight, or abandoned)
         self.sent: set[int] = set()
@@ -280,13 +293,11 @@ class _Direction:
 class _OngoingContact:
     """Book-keeping for a contact that is currently up."""
 
-    def __init__(self, event: ContactEvent, busy_until: float):
+    def __init__(self, index: int, event: ContactEvent, busy_until: float):
         self.event = event
         self.busy_until = busy_until
         a, b = event.node_a, event.node_b
-        ab, ba = _Direction(b), _Direction(a)
-        self.by_sender = {a: ab, b: ba}
-        self.by_receiver = {b: ab, a: ba}
+        self.by_sender = {a: _Direction(index, a, b), b: _Direction(index, b, a)}
         self.aborts: list[tuple[int, int, int]] = []  # (from, to, row), logged at contact end
 
 
@@ -315,7 +326,10 @@ class Simulation:
         self._reads_ledger = cfg.router in LEDGER_ROUTERS
         self.log = EventLog()
         self.ongoing: dict[int, _OngoingContact] = {}
-        self.ongoing_by_node: dict[int, set[int]] = {i: set() for i in range(n)}
+        # per node, the directions of its ongoing contacts that it sends on
+        # and that it receives on, each in contact-index order
+        self.outbound: list[list[_Direction]] = [[] for _ in range(n)]
+        self.inbound: list[list[_Direction]] = [[] for _ in range(n)]
         self.communities = CommunityMap.empty()
         self.centralities = CentralityTable.empty(cfg.centrality_window)
         self._recomputes = 0  # a decision input: each recompute may change every answer
@@ -509,8 +523,9 @@ class Simulation:
     def _on_contact_end(self, time: float, index: int) -> None:
         oc = self.ongoing.pop(index)
         ev = oc.event
-        self.ongoing_by_node[ev.node_a].discard(index)
-        self.ongoing_by_node[ev.node_b].discard(index)
+        for src, direction in oc.by_sender.items():
+            self.outbound[src].remove(direction)
+            self.inbound[direction.dst].remove(direction)
         for src, dst, row in oc.aborts:
             self.log.append(LogRecord(time, KIND_ABORTED, self.rows[row].id, src, dst))
         if self.ledger is not None:
@@ -544,11 +559,12 @@ class Simulation:
 
     def _on_contact_start(self, time: float, index: int) -> None:
         ev = self.cfg.trace.events[index]
-        oc = _OngoingContact(ev, time)
+        oc = _OngoingContact(index, ev, time)
         self.ongoing[index] = oc
+        for src, direction in oc.by_sender.items():
+            insort(self.outbound[src], direction, key=_DIRECTION_KEY)
+            insort(self.inbound[direction.dst], direction, key=_DIRECTION_KEY)
         a, b = ev.node_a, ev.node_b
-        self.ongoing_by_node[a].add(index)
-        self.ongoing_by_node[b].add(index)
 
         ledger = self.ledger
         if ledger is not None:
@@ -562,17 +578,25 @@ class Simulation:
     # -- decisions ---------------------------------------------------------
 
     def _queue_evals(self, node_id: int, row: int) -> None:
-        # Row `row` just entered node_id's buffer: mark it pending on
-        # node_id's outbound directions and queue them for a scan. A row
-        # leaving a receiver queues no scan, which keeps buffer churn from
-        # looping at one instant; it waits as a pending row for the next scan
-        # of that direction, which may copy it to the receiver again on this
-        # same contact. Only rows in the direction's sent set stay suppressed
+        # Row `row` just entered node_id's buffer: mark it pending on each of
+        # node_id's outbound directions whose receiver neither buffers it,
+        # was delivered it, nor was sent it on this contact (should it leave
+        # the receiver later, `_mark_departed` marks it then), and queue
+        # every direction for a scan, even one with nothing marked: the rows
+        # that `_mark_departed` marks wait for it. A row leaving a receiver
+        # queues no scan, which keeps buffer churn from looping at one
+        # instant; it waits as a pending row for the next scan of that
+        # direction, which may copy it to the receiver again on this same
+        # contact. Only rows in the direction's sent set stay suppressed
         # until the contact ends.
-        for index in sorted(self.ongoing_by_node[node_id]):
-            direction = self.ongoing[index].by_sender[node_id]
-            direction.pending.add(row)
-            key = (index, node_id, direction.dst)
+        nodes = self.nodes
+        for direction in self.outbound[node_id]:
+            receiver = nodes[direction.dst]
+            if not (
+                row in receiver.buffer or row in receiver.delivered or row in direction.sent
+            ):
+                direction.pending.add(row)
+            key = direction.key
             if key not in self._evals_pending:
                 self._evals_pending.add(key)
                 self._evals.append(key)
@@ -581,8 +605,8 @@ class Simulation:
         # Row `row` left node_id's buffer, so the senders of node_id's
         # inbound directions may offer it again at their next scan. Expiry
         # needs no mark: the row leaves every buffer at once.
-        for index in self.ongoing_by_node[node_id]:
-            self.ongoing[index].by_receiver[node_id].pending.add(row)
+        for direction in self.inbound[node_id]:
+            direction.pending.add(row)
 
     def _drain_evals(self, time: float) -> None:
         while self._evals:

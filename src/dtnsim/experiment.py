@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .contacts import (
     TRACE_FORMATS,
@@ -285,9 +286,23 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else repr(float(value))
 
 
+def _write_whole(path: Path, chunks: Iterable[str]) -> None:
+    """Write the text `chunks` to `path` whole or not at all: into
+    `<path>.tmp`, renamed onto `path` once every chunk is written."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w") as f:
+            f.writelines(chunks)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
+
+
 def _cell_tasks(cfg: ExperimentConfig, dump_ledgers: bool):
     """Every plan cell as a `_run_cell` task, seed by seed; each seed's
-    scenario is materialized once and shared by all of its cells."""
+    scenario is materialized once, when its first cell is asked for, and
+    shared by all of its cells."""
     for seed in cfg.seeds:
         scenario = materialize_scenario(cfg, seed)
         for router in cfg.routers:
@@ -306,16 +321,33 @@ def _run_cell(args) -> tuple[str, float, int, RunMetrics]:
     log = sim.run()
     cell = cfg.out_dir / cell_dir_name(router, ttl, seed)
     cell.mkdir(parents=True, exist_ok=True)
-    (cell / "events.csv").write_text(log.to_csv())
+    _write_whole(cell / "events.csv", log.csv_chunks())
     if dump_ledgers:
         pair_csv, imp_csv = dump_ledgers_csv(sim.final_ledger())
-        (cell / "ledger_pairs.csv").write_text(pair_csv)
-        (cell / "ledger_importance.csv").write_text(imp_csv)
-        (cell / "communities.json").write_text(communities_json(sim.communities))
-        (cell / "centrality.csv").write_text(
-            centrality_csv(sim.centralities, sim.communities, trace.node_count)
+        _write_whole(cell / "ledger_pairs.csv", [pair_csv])
+        _write_whole(cell / "ledger_importance.csv", [imp_csv])
+        _write_whole(cell / "communities.json", [communities_json(sim.communities)])
+        _write_whole(
+            cell / "centrality.csv",
+            [centrality_csv(sim.centralities, sim.communities, trace.node_count)],
         )
     return router, ttl, seed, compute_run_metrics(log)
+
+
+def _run_cells_in_pool(tasks: Iterable, jobs: int) -> list[tuple[str, float, int, RunMetrics]]:
+    """Run the tasks on `jobs` worker processes, with at most `jobs` cells
+    in flight: the next task, and so the next seed's scenario, is taken only
+    when a cell finishes. Outcomes come in completion order."""
+    outcomes = []
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        in_flight = set()
+        for task in tasks:
+            in_flight.add(pool.submit(_run_cell, task))
+            if len(in_flight) == jobs:
+                done, in_flight = wait(in_flight, return_when=FIRST_COMPLETED)
+                outcomes += [future.result() for future in done]
+        outcomes += [future.result() for future in wait(in_flight)[0]]
+    return outcomes
 
 
 def run_experiment(
@@ -324,12 +356,10 @@ def run_experiment(
     """Run every plan cell, write per-run logs plus the results and aggregate
     CSVs, and return their paths."""
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    # a generator: serially, only one seed's scenario is alive at a time;
-    # the pool receives each scenario pickled with its cells
+    # a generator: serially, only one seed's scenario is alive at a time
     tasks = _cell_tasks(cfg, dump_ledgers)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_cell, tasks))
+        outcomes = _run_cells_in_pool(tasks, jobs)
     else:
         outcomes = [_run_cell(task) for task in tasks]
 
@@ -340,7 +370,7 @@ def run_experiment(
             f"{router},{ttl!r},{seed},{_fmt(rm.delivery_probability)},{_fmt(rm.avg_cost)},{_fmt(rm.avg_latency)}"
         )
     results_path = cfg.out_dir / "results.csv"
-    results_path.write_text("\n".join(results_lines) + "\n")
+    _write_whole(results_path, ["\n".join(results_lines) + "\n"])
 
     aggregate_lines = [AGGREGATE_HEADER]
     for router in cfg.routers:
@@ -355,7 +385,7 @@ def run_experiment(
                     cols += [_fmt(summary.mean), _fmt(summary.ci_half_width)]
             aggregate_lines.append(",".join(cols))
     aggregate_path = cfg.out_dir / "aggregate.csv"
-    aggregate_path.write_text("\n".join(aggregate_lines) + "\n")
+    _write_whole(aggregate_path, ["\n".join(aggregate_lines) + "\n"])
     return results_path, aggregate_path
 
 

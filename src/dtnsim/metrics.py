@@ -7,8 +7,6 @@ import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy import stats as scipy_stats
-
 from .engine import EventLog, KIND_CREATED, KIND_DELIVERED, KIND_REPLICATED
 
 
@@ -79,8 +77,12 @@ def summarize(values: Sequence[float], confidence: float = 0.95) -> MetricSummar
     mean = sum(values) / n
     if n < 2:
         return MetricSummary(mean, None, n)
+    # imported here, so that a run that aggregates no more than one value
+    # per metric never loads scipy
+    from scipy import stats
+
     sd = statistics.stdev(values)
-    t_crit = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, n - 1))
+    t_crit = float(stats.t.ppf(0.5 + confidence / 2.0, n - 1))
     return MetricSummary(mean, t_crit * sd / n**0.5, n)
 
 

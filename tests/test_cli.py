@@ -204,3 +204,33 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert "run" in result.stdout and "compare" in result.stdout
+
+
+def test_one_seed_run_never_imports_scipy(tmp_path):
+    # scipy serves only the confidence interval of an aggregate over two or
+    # more runs; a fresh process that imports the package and runs a
+    # one-seed plan must not load it
+    write_routine_spec(tmp_path / "routine.json")
+    plan = write_config(tmp_path / "plan.json", "res")
+    raw = json.loads(plan.read_text())
+    plan.write_text(json.dumps(dict(raw, seeds=[1])))
+    child = (
+        "import sys\n"
+        "import dtnsim, dtnsim.cli, dtnsim.experiment\n"
+        "from dtnsim.experiment import load_experiment_config_file, run_experiment\n"
+        "assert 'scipy' not in sys.modules, 'scipy loaded on import'\n"
+        "run_experiment(load_experiment_config_file(sys.argv[1]))\n"
+        "assert 'scipy' not in sys.modules, 'scipy loaded by a one-seed run'\n"
+    )
+    src = str(Path(dtnsim.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", child, str(plan)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "res" / "aggregate.csv").read_text().splitlines()[1].startswith(
+        "epidemic,86400.0,1,"
+    )

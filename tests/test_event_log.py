@@ -1,11 +1,15 @@
-"""`EventLog.to_csv` must write, byte for byte, what the per-record CSV
-reference serializer writes."""
+"""`EventLog.to_csv`, its chunks, and the `events.csv` that a plan cell
+writes from them must hold, byte for byte, what the per-record CSV reference
+serializer writes."""
+
+import dataclasses
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dtnsim import EventLog, LogRecord
+from dtnsim import EventLog, LogRecord, Simulation
 from dtnsim.engine import (
+    CSV_CHUNK_RECORDS,
     EVENT_LOG_CSV_HEADER,
     KIND_ABORTED,
     KIND_CREATED,
@@ -14,6 +18,12 @@ from dtnsim.engine import (
     KIND_DROPPED,
     KIND_EXPIRED,
     KIND_REPLICATED,
+)
+from dtnsim.experiment import (
+    cell_dir_name,
+    load_experiment_config,
+    materialize_scenario,
+    run_experiment,
 )
 
 from oracles import event_log_csv
@@ -46,8 +56,54 @@ def test_serializers_match_reference(records):
     assert EventLog(records).to_csv() == event_log_csv(records)
 
 
+CHUNK_SIZES = [1, 2, 7, CSV_CHUNK_RECORDS]
+
+
+@given(st.lists(record, max_size=20), st.sampled_from(CHUNK_SIZES))
+def test_chunks_join_to_the_reference(records, chunk_records):
+    chunks = list(EventLog(records).csv_chunks(chunk_records))
+    assert chunks[0] == EVENT_LOG_CSV_HEADER + "\n"
+    # the header, then one chunk per started run of chunk_records records
+    assert len(chunks) == 1 + -(-len(records) // chunk_records)
+    assert "".join(chunks) == EventLog(records).to_csv() == event_log_csv(records)
+
+
 def test_empty_log():
     assert EventLog().to_csv() == EVENT_LOG_CSV_HEADER + "\n" == event_log_csv([])
+    for chunk_records in CHUNK_SIZES:
+        assert list(EventLog().csv_chunks(chunk_records)) == [EVENT_LOG_CSV_HEADER + "\n"]
+
+
+def test_plan_cell_writes_to_csv(tmp_path, monkeypatch):
+    # small chunks, so that the file is written in many pieces
+    chunks = EventLog.csv_chunks
+    monkeypatch.setattr(EventLog, "csv_chunks", lambda log: chunks(log, 7))
+    routine = {
+        "node_count": 5,
+        "days": 1,
+        "samples_per_day": 24,
+        "seconds_per_day": 86400,
+        "groups": {"work": [i % 2 for i in range(5)]},
+        "activities": {
+            "work": {"samples": list(range(9, 15)), "probability": 0.7, "duration": 1800},
+        },
+    }
+    raw = {
+        "routers": ["epidemic"],
+        "ttls": [86400],
+        "seeds": [3],
+        "trace": {"routine": routine},
+        "workload": {"count": 10, "window": [0.0, 43200.0]},
+    }
+    cfg = load_experiment_config(raw, tmp_path)
+    run_experiment(cfg)
+    trace, workload = materialize_scenario(cfg, 3)
+    log = Simulation(
+        dataclasses.replace(cfg.sim, trace=trace, workload=workload, router="epidemic")
+    ).run()
+    assert len(log) > 7
+    written = (cfg.out_dir / cell_dir_name("epidemic", 86400, 3) / "events.csv").read_bytes()
+    assert written == log.to_csv().encode() == event_log_csv(log).encode()
 
 
 def test_record_shape():

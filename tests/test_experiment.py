@@ -11,6 +11,7 @@ import pytest
 from dtnsim import (
     ContactEvent,
     ContactTrace,
+    EventLog,
     SimConfig,
     SimStartupError,
     Simulation,
@@ -289,6 +290,28 @@ def test_run_experiment_parallel_matches_serial(tmp_path):
     rb, ab = run_experiment(cfg_b, jobs=2)
     assert ra.read_text() == rb.read_text()
     assert aa.read_text() == ab.read_text()
+    for router, ttl, seed in cfg_a.cells:
+        name = cell_dir_name(router, ttl, seed)
+        serial = (cfg_a.out_dir / name / "events.csv").read_bytes()
+        assert serial == (cfg_b.out_dir / name / "events.csv").read_bytes(), name
+
+
+def test_cell_failing_mid_write_leaves_no_file(tmp_path, monkeypatch):
+    chunks = EventLog.csv_chunks
+
+    def failing(log):
+        it = chunks(log, 1)
+        yield next(it)
+        yield next(it)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(EventLog, "csv_chunks", failing)
+    cfg = load_experiment_config(base_config(), tmp_path)
+    with pytest.raises(OSError, match="disk full"):
+        run_experiment(cfg)
+    cell = cfg.out_dir / cell_dir_name("epidemic", 86400.0, 1)
+    assert list(cell.iterdir()) == []
+    assert not (cfg.out_dir / "results.csv").exists()
 
 
 def test_run_experiment_materializes_each_seed_once(tmp_path, monkeypatch):
