@@ -9,18 +9,21 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import numpy as np
 
 from dtnsim import (
     CentralityTable,
+    ContactEvent,
+    ContactTrace,
     LedgerOrderingError,
     SampleConfig,
     SampleSlot,
     Simulation,
     WindowMeetings,
 )
-from dtnsim.contacts import slot_from_linear
+from dtnsim.contacts import RelationActivity, RoutineSpec, slot_from_linear
 from dtnsim.engine import (
     EVENT_LOG_CSV_HEADER,
     KIND_ABORTED,
@@ -476,3 +479,49 @@ class FullScanSimulation(Simulation):
         decision = decide(self.cfg.router, carrier, peer, self.communities, self.centralities)
         if decision.replicate:
             self._apply_decision(oc, src, dst, time, decision)
+
+
+def reference_routine_trace(spec: RoutineSpec, seed: int) -> ContactTrace:
+    """Reference routine-trace generator: for every (day, sample, pair) it
+    works out again which relations are active and whether the pair shares
+    their group, then draws. `generate_routine_trace` must make the same
+    draws in the same order, so both give the same trace."""
+    rng = random.Random(seed)
+    length = spec.cfg.sample_length
+    relations = [
+        (getattr(spec, name), getattr(spec, f"{name}_group")) for name in ("home", "work", "social")
+    ]
+    active = {
+        id(act): frozenset(act.samples)
+        for act, _ in relations
+        if act is not None
+    }
+    if spec.background is not None:
+        active[id(spec.background)] = frozenset(spec.background.samples)
+
+    pairs = [(a, b) for a in range(spec.node_count) for b in range(a + 1, spec.node_count)]
+    events: list[ContactEvent] = []
+    for day in range(spec.days):
+        for sample in range(spec.cfg.samples_per_day):
+            base = float((day * spec.cfg.samples_per_day + sample) * length)
+            for a, b in pairs:
+                hit: RelationActivity | None = None
+                for act, groups in relations:
+                    if act is None or sample not in active[id(act)]:
+                        continue
+                    if groups[a] != groups[b]:
+                        continue
+                    if rng.random() < act.probability:
+                        hit = act
+                        break
+                if hit is None and spec.background is not None:
+                    bg = spec.background
+                    if sample in active[id(bg)] and rng.random() < bg.probability:
+                        hit = bg
+                if hit is None:
+                    continue
+                slack = length - hit.duration
+                offset = rng.uniform(0.0, slack) if slack > 0 else 0.0
+                start = base + offset
+                events.append(ContactEvent(a, b, start, start + hit.duration))
+    return ContactTrace.from_events(events, node_count=spec.node_count)

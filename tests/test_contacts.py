@@ -1,7 +1,10 @@
+import hashlib
 import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dtnsim import (
     ContactEvent,
@@ -17,6 +20,9 @@ from dtnsim import (
     serialize_contact_trace,
     split_contact_by_samples,
 )
+
+from oracles import reference_routine_trace
+from scenarios import desk_spec
 
 CFG24 = SampleConfig(24, 86400)
 
@@ -224,3 +230,69 @@ def test_routine_spec_validation():
             work_group=(0, 0),
             social_group=(0, 1),
         )
+
+
+# SHA-256 of the serialized trace of each (nodes, days, seed) desk spec: the
+# 30- and 90-node desk weeks and the 45-node, 14-day history of the
+# community_bw benchmark workload
+TRACE_DIGESTS = {
+    (30, 7, 1): "15cc484af682b2a53aec78aae73b0cbaea37397321fdfc1e73160b6dd76d7b5d",
+    (30, 7, 9973): "3e58a2aa361e686af2a02a24519ba832814c36e3e4c385a6b0449e37ba50259a",
+    (90, 7, 1): "5809751d577f308060360182673b7134441ad1111e7e065cee9f7b48017827bf",
+    (90, 7, 9973): "cf60e297537fbe4d52363ffdda381eeb580ac068a18239375eb20dec6f539bd5",
+    (45, 14, 1): "a5586aa694c3de115dd84c1b2b65a8ff8e7b81b5626a1759db420ed0d7f7357a",
+    (45, 14, 9973): "b7d7f1566fd71cea49162a1a98ac5f94cd23186674a6d70afee84486b14a9328",
+}
+
+
+@pytest.mark.parametrize("nodes,days,seed", sorted(TRACE_DIGESTS))
+def test_generator_trace_digest(nodes, days, seed):
+    text = serialize_contact_trace(generate_routine_trace(desk_spec(nodes, days), seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == TRACE_DIGESTS[(nodes, days, seed)]
+
+
+@st.composite
+def routine_specs(draw):
+    """Small routine specs over the corners of the generator: missing
+    activities, one activity shared by two relations, repeated sample
+    indices, probability 0 and 1, durations of 50 ms and of a whole sample,
+    and 0 or 1 nodes and 0 days."""
+    samples_per_day = draw(st.integers(1, 6))
+    length = draw(st.sampled_from([1, 60, 3600]))
+    node_count = draw(st.integers(0, 7))
+
+    def activity():
+        return st.none() | st.builds(
+            RelationActivity,
+            st.lists(st.integers(0, samples_per_day - 1), max_size=2 * samples_per_day).map(tuple),
+            st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+            st.sampled_from([0.05, float(length)]) | st.floats(0.05, float(length)),
+        )
+
+    acts = [draw(activity()) for _ in range(4)]
+    if draw(st.booleans()):
+        src, dst = draw(st.permutations(range(4)))[:2]
+        acts[dst] = acts[src]
+    groups = [
+        tuple(draw(st.lists(st.integers(0, 2), min_size=node_count, max_size=node_count)))
+        for _ in range(3)
+    ]
+    return RoutineSpec(
+        node_count=node_count,
+        days=draw(st.integers(0, 3)),
+        cfg=SampleConfig(samples_per_day, samples_per_day * length),
+        home_group=groups[0],
+        work_group=groups[1],
+        social_group=groups[2],
+        home=acts[0],
+        work=acts[1],
+        social=acts[2],
+        background=acts[3],
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=routine_specs(), seed=st.integers(0, 2**32))
+@example(spec=desk_spec(12, 2), seed=3)
+def test_generator_matches_reference(spec, seed):
+    assert generate_routine_trace(spec, seed) == reference_routine_trace(spec, seed)
