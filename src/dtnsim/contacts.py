@@ -207,6 +207,35 @@ def load_contact_trace(path: str | Path, fmt: str = "csv") -> tuple[ContactTrace
     return parse_contact_trace(Path(path).read_text(), fmt)
 
 
+class ConfigError(ValueError):
+    """Invalid configuration; the message opens with the offending field."""
+
+    def __init__(self, path: str, message: str):
+        super().__init__(f"{path}: {message}")
+        self.field_path = path
+
+
+# Readers of JSON values: each returns the type the program takes or names
+# the key it rejects. A JSON boolean is an int to Python, so it is excluded.
+
+
+def _number(key: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(key, f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond any float
+        raise ConfigError(key, f"out of range: {value}") from None
+
+
+def _integer(key: str, value) -> int:
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(key, f"expected an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class RelationActivity:
     """Contact behaviour of one group relation: which samples it is active in,
@@ -219,8 +248,8 @@ class RelationActivity:
     def __post_init__(self):
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError(f"probability {self.probability} outside [0, 1]")
-        if self.duration <= 0:
-            raise ValueError("duration must be > 0")
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ValueError(f"duration must be finite and > 0, got {self.duration}")
 
 
 _RELATION_KINDS = ("home", "work", "social")
@@ -262,86 +291,83 @@ class RoutineSpec:
     @classmethod
     def from_dict(cls, d: Mapping) -> "RoutineSpec":
         cfg = SampleConfig(
-            int(d.get("samples_per_day", 24)), int(d.get("seconds_per_day", 86400))
+            _integer("samples_per_day", d.get("samples_per_day", 24)),
+            _integer("seconds_per_day", d.get("seconds_per_day", 86400)),
         )
-
-        def activity(val) -> RelationActivity | None:
-            if val is None:
-                return None
-            return RelationActivity(
-                tuple(int(s) for s in val["samples"]),
-                float(val["probability"]),
-                float(val["duration"]),
-            )
-
-        groups = d.get("groups", {})
-        n = int(d["node_count"])
+        n = _integer("node_count", d["node_count"])
 
         def group(name) -> tuple[int, ...]:
-            val = groups.get(name)
+            val = d.get("groups", {}).get(name)
             if val is None:
                 return tuple(range(n))  # every node in its own group: relation inert
-            return tuple(int(g) for g in val)
+            return tuple(_integer(f"groups.{name}[{i}]", g) for i, g in enumerate(val))
 
-        acts = d.get("activities", {})
+        def activity(name) -> RelationActivity | None:
+            val = d.get("activities", {}).get(name)
+            if val is None:
+                return None
+            key = f"activities.{name}"
+            return RelationActivity(
+                tuple(_integer(f"{key}.samples[{i}]", s) for i, s in enumerate(val["samples"])),
+                _number(f"{key}.probability", val["probability"]),
+                _number(f"{key}.duration", val["duration"]),
+            )
+
         return cls(
             node_count=n,
-            days=int(d["days"]),
+            days=_integer("days", d["days"]),
             cfg=cfg,
             home_group=group("home"),
             work_group=group("work"),
             social_group=group("social"),
-            home=activity(acts.get("home")),
-            work=activity(acts.get("work")),
-            social=activity(acts.get("social")),
-            background=activity(acts.get("background")),
+            home=activity("home"),
+            work=activity("work"),
+            social=activity("social"),
+            background=activity("background"),
         )
 
 
 def generate_routine_trace(spec: RoutineSpec, seed: int) -> ContactTrace:
     """Generate a deterministic daily-repeating contact trace.
 
-    Each (pair, sample) produces at most one contact. Relations are tried in
-    a fixed order (home, work, social) for pairs sharing that group; the
-    background relation applies to any pair when nothing else fired. Contact
-    duration is the relation's duration, placed uniformly inside the sample.
+    Each (pair, sample) produces at most one contact. All draws come from
+    one `random.Random(seed)`, in this order: day by day, sample by sample,
+    and within a sample pair by pair, (0, 1), (0, 2), ..., (1, 2), .... A
+    pair tries the home, work and social relations whose activity covers
+    the sample and whose group it shares, in that order, then `background`
+    if it covers the sample; each try draws one `random()`, and the first
+    below its probability is the pair's contact. That contact lasts the
+    relation's duration and starts `uniform(0, sample length - duration)`
+    into the sample, a draw skipped when the duration fills the sample.
+    The same seed therefore gives the same trace byte for byte.
     """
     rng = random.Random(seed)
+    draw, uniform = rng.random, rng.uniform
     length = spec.cfg.sample_length
-    relations = [
-        (getattr(spec, name), getattr(spec, f"{name}_group")) for name in _RELATION_KINDS
-    ]
-    active = {
-        id(act): frozenset(act.samples)
-        for act, _ in relations
-        if act is not None
-    }
-    if spec.background is not None:
-        active[id(spec.background)] = frozenset(spec.background.samples)
-
+    acts = [getattr(spec, name) for name in (*_RELATION_KINDS, "background")]
+    entries = [act and (act.probability, act.duration, length - act.duration) for act in acts]
+    groups = [getattr(spec, f"{name}_group") for name in _RELATION_KINDS]
     pairs = [(a, b) for a in range(spec.node_count) for b in range(a + 1, spec.node_count)]
+    # bit i of a mask stands for acts[i]: a pair's mask holds the relations
+    # whose group it shares and the background; a sample's pattern holds the
+    # activities that cover it. A pair's chain in a sample is the entries of
+    # both, in draw order, and each pattern lists the chain of every pair.
+    masks = [8 | sum(1 << i for i, g in enumerate(groups) if g[a] == g[b]) for a, b in pairs]
+    chains = {key: tuple(e for i, e in enumerate(entries) if key >> i & 1) for key in range(16)}
+    patterns = [sum(1 << i for i, act in enumerate(acts) if act and sample in act.samples)
+                for sample in range(spec.cfg.samples_per_day)]
+    # a pattern of 0 lists no pair: a sample that no activity covers draws nothing
+    by_pattern = {p: [chains[mask & p] for mask in masks] if p else [] for p in set(patterns)}
+    rows = [by_pattern[p] for p in patterns]
+
     events: list[ContactEvent] = []
     for day in range(spec.days):
-        for sample in range(spec.cfg.samples_per_day):
+        for sample, row in enumerate(rows):
             base = float((day * spec.cfg.samples_per_day + sample) * length)
-            for a, b in pairs:
-                hit: RelationActivity | None = None
-                for act, groups in relations:
-                    if act is None or sample not in active[id(act)]:
-                        continue
-                    if groups[a] != groups[b]:
-                        continue
-                    if rng.random() < act.probability:
-                        hit = act
+            for (a, b), chain in zip(pairs, row):
+                for probability, duration, slack in chain:
+                    if draw() < probability:
+                        start = base + uniform(0.0, slack) if slack > 0 else base
+                        events.append(ContactEvent(a, b, start, start + duration))
                         break
-                if hit is None and spec.background is not None:
-                    bg = spec.background
-                    if sample in active[id(bg)] and rng.random() < bg.probability:
-                        hit = bg
-                if hit is None:
-                    continue
-                slack = length - hit.duration
-                offset = rng.uniform(0.0, slack) if slack > 0 else 0.0
-                start = base + offset
-                events.append(ContactEvent(a, b, start, start + hit.duration))
     return ContactTrace.from_events(events, node_count=spec.node_count)

@@ -13,9 +13,12 @@ from typing import Iterable, Mapping, Sequence
 
 from .contacts import (
     TRACE_FORMATS,
+    ConfigError,
     ContactTrace,
     RoutineSpec,
     SampleConfig,
+    _integer,
+    _number,
     generate_routine_trace,
     load_contact_trace,
 )
@@ -31,14 +34,6 @@ AGGREGATE_HEADER = (
     "router,ttl,runs,delivery_mean,delivery_ci,cost_mean,cost_ci,latency_mean,latency_ci"
 )
 COMPARE_HEADER = "ttl,metric,a_mean,b_mean,delta,delta_unit,delta_ci"
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration; message names the offending field."""
-
-    def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
-        self.field_path = path
 
 
 @dataclass(frozen=True)
@@ -79,29 +74,8 @@ DEFAULT_TTLS = (86400.0, 172800.0, 345600.0, 604800.0, 1814400.0)
 DEFAULT_SEEDS = tuple(range(1, 11))
 
 
-# Readers of JSON values: each returns the type the engine takes or names
-# the key it rejects. A JSON boolean is an int to Python, so it is excluded.
-
-
-def _number(key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(key, f"expected a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an integer literal beyond any float
-        raise ConfigError(key, f"out of range: {value}") from None
-
-
 def _optional_number(key: str, value) -> float | None:
     return None if value is None else _number(key, value)
-
-
-def _integer(key: str, value) -> int:
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(key, f"expected an integer, got {value!r}")
-    return value
 
 
 def _boolean(key: str, value) -> bool:

@@ -142,6 +142,31 @@ def test_gen_workload_and_trace(tmp_path):
     assert trace.node_count == 6
 
 
+def _nan_background(spec: dict) -> dict:
+    spec["activities"]["background"] = {"samples": [0, 1, 2], "probability": 1.0, "duration": math.nan}
+    return spec
+
+
+def test_gen_trace_rejects_nan_duration(tmp_path, capsys):
+    spec = write_routine_spec(tmp_path / "routine.json")
+    spec.write_text(json.dumps(_nan_background(json.loads(spec.read_text()))))  # as NaN
+    out = tmp_path / "trace.csv"
+    assert main(["gen-trace", "--spec", str(spec), "--out", str(out)]) == EXIT_USAGE
+    assert "spec error: duration must be finite and > 0, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_rejects_nan_routine_duration_at_load(tmp_path, capsys):
+    write_routine_spec(tmp_path / "routine.json")
+    cfg_path = write_config(tmp_path / "plan.json", "res")
+    raw = json.loads(cfg_path.read_text())
+    _nan_background(raw["trace"]["routine"])
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_USAGE
+    assert "config error: trace.routine: duration must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
 def test_convert_trace_haggle(tmp_path):
     src = tmp_path / "imote.txt"
     src.write_text("# haggle style\n3 7 50 80\n7 9 60 90\n")

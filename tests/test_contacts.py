@@ -27,6 +27,15 @@ from scenarios import desk_spec
 CFG24 = SampleConfig(24, 86400)
 
 
+def routine_dict():
+    return {
+        "node_count": 4,
+        "days": 2,
+        "groups": {"work": [0, 0, 1, 1]},
+        "activities": {"work": {"samples": [9, 10], "probability": 0.5, "duration": 1800}},
+    }
+
+
 def test_contact_event_canonical_and_validated():
     ev = ContactEvent(5, 2, 10.0, 20.0)
     assert ev.pair == (2, 5)
@@ -214,11 +223,42 @@ def test_generator_group_pairs_meet_more():
     assert same > cross
 
 
+def test_routine_spec_from_dict_keeps_integral_values():
+    raw = routine_dict()
+    raw.update(node_count=4.0, days=2.0, samples_per_day=24.0)
+    raw["activities"]["work"].update(samples=[9.0, 10], probability=1, duration=1800)
+    spec = RoutineSpec.from_dict(raw)
+    assert (spec.node_count, spec.days, spec.cfg) == (4, 2, CFG24)
+    assert spec.work == RelationActivity((9, 10), 1.0, 1800.0)
+    assert type(spec.node_count) is int and type(spec.work.samples[0]) is int
+    assert type(spec.work.probability) is float and type(spec.work.duration) is float
+
+
+@pytest.mark.parametrize("edit,key", [
+    (lambda d: d.update(node_count=4.7), "node_count"),
+    (lambda d: d.update(node_count=True), "node_count"),
+    (lambda d: d.update(days=2.5), "days"),
+    (lambda d: d.update(samples_per_day=24.5), "samples_per_day"),
+    (lambda d: d.update(seconds_per_day="86400"), "seconds_per_day"),
+    (lambda d: d["groups"].update(work=[0, 0.5, 1, 1]), "groups.work[1]"),
+    (lambda d: d["activities"]["work"].update(samples=[0, 1.5]), "activities.work.samples[1]"),
+    (lambda d: d["activities"]["work"].update(probability=True), "activities.work.probability"),
+    (lambda d: d["activities"]["work"].update(duration="1800"), "activities.work.duration"),
+])
+def test_routine_spec_from_dict_rejects_non_integral_and_boolean_values(edit, key):
+    raw = routine_dict()
+    edit(raw)
+    with pytest.raises(ValueError) as err:
+        RoutineSpec.from_dict(raw)
+    assert str(err.value).startswith(f"{key}: expected ")
+
+
 def test_routine_spec_validation():
     with pytest.raises(ValueError):
         RelationActivity((0,), 1.5, 100.0)
-    with pytest.raises(ValueError):
-        RelationActivity((0,), 0.5, 0.0)
+    for duration in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="duration must be finite and > 0"):
+            RelationActivity((0,), 0.5, duration)
     with pytest.raises(ValueError):
         _two_node_work_spec(0.5, 7200.0)  # duration beyond the 1 h sample
     with pytest.raises(ValueError):

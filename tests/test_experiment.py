@@ -159,6 +159,21 @@ def test_loader_rejects_unknown_keys_and_wrong_types(key, value, path):
     assert err.value.field_path == path
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("node_count", 6.5, "node_count: expected an integer, got 6.5"),
+    ("days", True, "days: expected an integer, got True"),
+    ("activities", {"work": {"samples": [9], "probability": 0.5, "duration": math.nan}},
+     "duration must be finite and > 0, got nan"),
+])
+def test_loader_reports_routine_spec_errors(key, value, message):
+    raw = base_config()
+    raw["trace"]["routine"][key] = value
+    with pytest.raises(ConfigError) as err:
+        load_experiment_config(raw, ".")
+    assert err.value.field_path == "trace.routine"
+    assert str(err.value) == f"trace.routine: {message}"
+
+
 def test_loader_reads_the_workload_generator():
     raw = base_config()
     raw["workload"] = {"count": 20.0, "window": [0, 86400], "min_size": 10, "max_size": 20}
