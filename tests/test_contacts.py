@@ -234,7 +234,7 @@ def test_routine_spec_from_dict_keeps_integral_values():
     assert type(spec.work.probability) is float and type(spec.work.duration) is float
 
 
-@pytest.mark.parametrize("edit,key", [
+FROM_DICT_ERRORS = [
     (lambda d: d.update(node_count=4.7), "node_count"),
     (lambda d: d.update(node_count=True), "node_count"),
     (lambda d: d.update(days=2.5), "days"),
@@ -244,7 +244,10 @@ def test_routine_spec_from_dict_keeps_integral_values():
     (lambda d: d["activities"]["work"].update(samples=[0, 1.5]), "activities.work.samples[1]"),
     (lambda d: d["activities"]["work"].update(probability=True), "activities.work.probability"),
     (lambda d: d["activities"]["work"].update(duration="1800"), "activities.work.duration"),
-])
+]
+
+
+@pytest.mark.parametrize("edit,key", FROM_DICT_ERRORS, ids=[key for _, key in FROM_DICT_ERRORS])
 def test_routine_spec_from_dict_rejects_non_integral_and_boolean_values(edit, key):
     raw = routine_dict()
     edit(raw)
@@ -334,5 +337,8 @@ def routine_specs(draw):
 @settings(max_examples=300, deadline=None)
 @given(spec=routine_specs(), seed=st.integers(0, 2**32))
 @example(spec=desk_spec(12, 2), seed=3)
+@example(spec=desk_spec(0, 1), seed=1)
+@example(spec=desk_spec(1, 2), seed=1)
+@example(spec=desk_spec(5, 0), seed=1)
 def test_generator_matches_reference(spec, seed):
     assert generate_routine_trace(spec, seed) == reference_routine_trace(spec, seed)
