@@ -11,12 +11,10 @@ from .contacts import (
     RelationActivity,
     RoutineSpec,
     SampleConfig,
-    SampleSlot,
     TraceFormatError,
     generate_routine_trace,
     load_contact_trace,
     parse_contact_trace,
-    sample_slot_of,
     serialize_contact_trace,
     split_contact_by_samples,
 )

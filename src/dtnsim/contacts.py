@@ -67,50 +67,20 @@ class SampleConfig:
         return self.seconds_per_day // self.samples_per_day
 
 
-@dataclass(frozen=True, order=True)
-class SampleSlot:
-    """One daily sample of one specific day."""
+def split_contact_by_samples(start: float, end: float, sample_length: int) -> list[tuple[int, float]]:
+    """Partition the interval [start, end), in seconds since the epoch, into
+    (linear slot, seconds) fragments, one per sample it overlaps.
 
-    day_index: int
-    sample_index: int
-
-    def __post_init__(self):
-        if self.day_index < 0 or self.sample_index < 0:
-            raise ValueError("slot indices must be non-negative")
-
-    def linear(self, cfg: SampleConfig) -> int:
-        return self.day_index * cfg.samples_per_day + self.sample_index
-
-
-def slot_from_linear(index: int, cfg: SampleConfig) -> SampleSlot:
-    return SampleSlot(index // cfg.samples_per_day, index % cfg.samples_per_day)
-
-
-def sample_slot_of(timestamp: float, cfg: SampleConfig) -> SampleSlot:
-    """Map a timestamp (seconds since epoch) to its day and sample indices."""
-    if timestamp < 0:
-        raise ValueError("timestamp must be >= 0")
-    day = int(timestamp // cfg.seconds_per_day)
-    rem = timestamp - day * cfg.seconds_per_day
-    sample = int(rem // cfg.sample_length)
-    if sample >= cfg.samples_per_day:  # guard against float edge at the day boundary
-        sample = cfg.samples_per_day - 1
-    return SampleSlot(day, sample)
-
-
-def split_contact_by_samples(c: ContactEvent, cfg: SampleConfig) -> list[tuple[SampleSlot, float]]:
-    """Partition a contact across the samples it overlaps.
-
-    Fragments are returned in time order and their durations sum to the
-    contact duration; a contact inside one sample yields a single fragment.
+    Slot `lin` covers [lin * sample_length, (lin + 1) * sample_length); its
+    sample index is `lin % samples_per_day`. Fragments come in time order
+    and their seconds sum to `end - start`.
     """
-    out: list[tuple[SampleSlot, float]] = []
-    cur = c.start
-    while cur < c.end:
-        slot = sample_slot_of(cur, cfg)
-        slot_end = (slot.linear(cfg) + 1) * cfg.sample_length
-        upto = min(float(slot_end), c.end)
-        out.append((slot, upto - cur))
+    out: list[tuple[int, float]] = []
+    cur = start
+    while cur < end:
+        lin = int(cur // sample_length)
+        upto = min(float((lin + 1) * sample_length), end)
+        out.append((lin, upto - cur))
         cur = upto
     return out
 
@@ -236,6 +206,18 @@ def _integer(key: str, value) -> int:
     return value
 
 
+def _object(key: str, value) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise ConfigError(key, f"expected a JSON object, got {value!r}")
+    return value
+
+
+def _list(key: str, value) -> Sequence:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(key, f"expected a list, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class RelationActivity:
     """Contact behaviour of one group relation: which samples it is active in,
@@ -290,25 +272,31 @@ class RoutineSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "RoutineSpec":
+        d = _object("spec", d)
         cfg = SampleConfig(
             _integer("samples_per_day", d.get("samples_per_day", 24)),
             _integer("seconds_per_day", d.get("seconds_per_day", 86400)),
         )
         n = _integer("node_count", d["node_count"])
+        groups = _object("groups", d.get("groups", {}))
+        activities = _object("activities", d.get("activities", {}))
 
         def group(name) -> tuple[int, ...]:
-            val = d.get("groups", {}).get(name)
+            val = groups.get(name)
             if val is None:
                 return tuple(range(n))  # every node in its own group: relation inert
-            return tuple(_integer(f"groups.{name}[{i}]", g) for i, g in enumerate(val))
+            key = f"groups.{name}"
+            return tuple(_integer(f"{key}[{i}]", g) for i, g in enumerate(_list(key, val)))
 
         def activity(name) -> RelationActivity | None:
-            val = d.get("activities", {}).get(name)
+            val = activities.get(name)
             if val is None:
                 return None
             key = f"activities.{name}"
+            val = _object(key, val)
+            samples = _list(f"{key}.samples", val["samples"])
             return RelationActivity(
-                tuple(_integer(f"{key}.samples[{i}]", s) for i, s in enumerate(val["samples"])),
+                tuple(_integer(f"{key}.samples[{i}]", s) for i, s in enumerate(samples)),
                 _number(f"{key}.probability", val["probability"]),
                 _number(f"{key}.duration", val["duration"]),
             )

@@ -13,13 +13,7 @@ from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterator, NamedTuple, Sequence
 
-from .contacts import (
-    ContactEvent,
-    ContactTrace,
-    SampleConfig,
-    slot_from_linear,
-    split_contact_by_samples,
-)
+from .contacts import ContactEvent, ContactTrace, SampleConfig, split_contact_by_samples
 from .ledger import SocialLedger
 from .routing import (
     COMMUNITY_ROUTERS,
@@ -464,10 +458,8 @@ class Simulation:
         if self.ledger is None:
             raise ValueError(f"a {self.cfg.router} run keeps no ledger unless keep_ledger is set")
         length = self.cfg.sample.sample_length
-        n = self.ledger.clock + 1
-        while self.epoch + n * length <= self.horizon:
-            self.ledger.roll_sample(slot_from_linear(n - 1, self.cfg.sample))
-            n += 1
+        while self.epoch + (self.ledger.clock + 1) * length <= self.horizon:
+            self.ledger.roll_sample()
         return self.ledger
 
     # -- handlers ----------------------------------------------------------
@@ -529,16 +521,16 @@ class Simulation:
         for src, dst, row in oc.aborts:
             self.log.append(LogRecord(time, KIND_ABORTED, self.rows[row].id, src, dst))
         if self.ledger is not None:
-            rebased = ContactEvent(ev.node_a, ev.node_b, ev.start - self.epoch, ev.end - self.epoch)
-            for slot, duration in split_contact_by_samples(rebased, self.cfg.sample):
-                self.ledger.record_contact_fragment(ev.node_a, ev.node_b, slot, duration)
+            start, end = ev.start - self.epoch, ev.end - self.epoch
+            for lin, duration in split_contact_by_samples(start, end, self.cfg.sample.sample_length):
+                self.ledger.record_contact_fragment(ev.node_a, ev.node_b, lin, duration)
         if self.meetings is not None:
             self.pair_seconds[ev.pair] = self.pair_seconds.get(ev.pair, 0.0) + ev.duration
             self.meetings.add(ev)
 
     def _on_roll(self, boundary_index: int) -> None:
         self._push_boundary(_PRI_ROLL, boundary_index + 1)
-        self.ledger.roll_sample(slot_from_linear(boundary_index - 1, self.cfg.sample))
+        self.ledger.roll_sample()
         for oc in self.ongoing.values():
             self.ledger.mark_met(oc.event.node_a, oc.event.node_b)
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .contacts import SampleConfig, SampleSlot
+from .contacts import SampleConfig
 
 
 class LedgerOrderingError(RuntimeError):
@@ -71,39 +71,34 @@ class SocialLedger:
         self.neighbors[a].add(b)
         self.neighbors[b].add(a)
 
-    def record_contact_fragment(self, a: int, b: int, slot: SampleSlot, duration: float) -> None:
-        """Accumulate one fragment of a contact between a and b, on both sides.
+    def record_contact_fragment(self, a: int, b: int, lin: int, duration: float) -> None:
+        """Accumulate one fragment of a contact between a and b, on both
+        sides, in linear slot `lin` (sample index `lin % samples_per_day`).
 
         Fragments for the open slot or earlier are accepted; a fragment
         with a past slot simply joins that sample index's next fold. A
         future slot is an ordering error.
         """
         self._check_pair(a, b)
-        if duration <= 0:
-            raise ValueError("fragment duration must be > 0")
-        lin = slot.linear(self.cfg)
+        if duration <= 0 or lin < 0:
+            raise ValueError(f"need slot >= 0 and duration > 0, got {lin} and {duration}")
         if lin > self.clock:
-            raise LedgerOrderingError(f"fragment for future slot {slot} (clock at {self.clock})")
-        i = slot.sample_index
+            raise LedgerOrderingError(f"fragment for future slot {lin} (clock at {self.clock})")
+        i = lin % self.cfg.samples_per_day
         self.tct[a, b, i] += duration
         self.tct[b, a, i] += duration
         if lin == self.clock:
             self.neighbors[a].add(b)
             self.neighbors[b].add(a)
 
-    def roll_sample(self, finished: SampleSlot) -> None:
-        """Fold the just-finished sample into every pair's per-day average.
+    def roll_sample(self) -> None:
+        """Close the open slot: fold its sample into every pair's per-day
+        average, then open the next slot.
 
         Every average for that sample index advances by one day, including
-        pairs with zero contact time. Rolling any slot other than the open
-        one is an ordering error.
+        pairs with zero contact time.
         """
-        lin = finished.linear(self.cfg)
-        if lin < self.clock:
-            raise LedgerOrderingError(f"slot {finished} already rolled")
-        if lin > self.clock:
-            raise LedgerOrderingError(f"slot {finished} not reached yet (clock at {self.clock})")
-        i = finished.sample_index
+        i = self.current_sample
         j = self.rolls[i] + 1
         self.ad[:, :, i] = (self.tct[:, :, i] + (j - 1) * self.ad[:, :, i]) / j
         self.tct[:, :, i] = 0.0
@@ -143,17 +138,6 @@ class SocialLedger:
             row = {p: w for p, w in enumerate(self._matrix[node].tolist()) if w}
             self._rows[node] = row
         return row
-
-    def record_peer_importance(self, node: int, peer: int, value: float) -> None:
-        """Cache at `node` the importance `peer` reported at contact time."""
-        self._check_pair(node, peer)
-        self._peer_importance[node][peer] = float(value)
-
-    def last_known_importance(self, node: int, peer: int) -> float:
-        """Most recent importance the peer exchanged with the node, possibly
-        from an earlier sample; peers never met report the initial value."""
-        self._check_pair(node, peer)
-        return self._peer_importance[node][peer]
 
     def update_importance(self, node: int) -> float:
         """Recompute the node's importance for the current sample.

@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import networkx as nx
 
@@ -54,38 +54,12 @@ class CommunityMap:
         return self._membership.get(node, frozenset())
 
 
-def _percolate(cliques: Sequence[frozenset[int]], k: int) -> list[frozenset[int]]:
-    # Union-find over maximal cliques; two are in one community when they
-    # share at least k-1 nodes (equivalent to percolation over all k-cliques).
-    parent = list(range(len(cliques)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(len(cliques)):
-        for j in range(i + 1, len(cliques)):
-            if len(cliques[i] & cliques[j]) >= k - 1:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-
-    groups: dict[int, set[int]] = {}
-    for i, clique in enumerate(cliques):
-        groups.setdefault(find(i), set()).update(clique)
-    return [frozenset(g) for g in groups.values()]
-
-
 def k_clique_communities(graph: nx.Graph, k: int) -> CommunityMap:
     """Communities as unions of k-cliques reachable through k-1 shared nodes."""
     if k < 3:
         raise ValueError("k must be >= 3")
-    cliques = [frozenset(c) for c in nx.find_cliques(graph) if len(c) >= k]
-    communities = _percolate(cliques, k)
-    communities.sort(key=lambda c: tuple(sorted(c)))
-    return CommunityMap(tuple(communities))
+    communities = nx.community.k_clique_communities(graph, k)
+    return CommunityMap(tuple(sorted(communities, key=lambda c: tuple(sorted(c)))))
 
 
 @dataclass(frozen=True)

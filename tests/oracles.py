@@ -19,11 +19,10 @@ from dtnsim import (
     ContactTrace,
     LedgerOrderingError,
     SampleConfig,
-    SampleSlot,
     Simulation,
     WindowMeetings,
 )
-from dtnsim.contacts import RelationActivity, RoutineSpec, slot_from_linear
+from dtnsim.contacts import RelationActivity, RoutineSpec
 from dtnsim.engine import (
     EVENT_LOG_CSV_HEADER,
     KIND_ABORTED,
@@ -60,6 +59,21 @@ def node_importance(damping, neighbor_weights, neighbor_importances):
         return 1.0 - damping
     total = sum(w * i for w, i in zip(neighbor_weights, neighbor_importances))
     return (1.0 - damping) + damping * total / len(neighbor_weights)
+
+
+def split_by_day_and_sample(start, end, cfg):
+    """Literal split of [start, end) into (linear slot, seconds) fragments:
+    each fragment's slot is found as a day, then a sample within that day."""
+    out = []
+    cur = start
+    while cur < end:
+        day = int(cur // cfg.seconds_per_day)
+        sample = int((cur - day * cfg.seconds_per_day) // cfg.sample_length)
+        lin = day * cfg.samples_per_day + min(sample, cfg.samples_per_day - 1)
+        upto = min(float((lin + 1) * cfg.sample_length), end)
+        out.append((lin, upto - cur))
+        cur = upto
+    return out
 
 
 def clique_percolation_bruteforce(adjacency, k):
@@ -273,13 +287,8 @@ class PerNodeLedger:
         # and should saturate quietly at inf rather than warn
         self._importance = [1.0 - self.damping] * t
         self._peer_importance = [1.0 - self.damping] * node_count
-        self._peer_importance_slot = [-1] * node_count
         self._coeff = t / (t + np.arange(t, dtype=float))  # t/(t+j), j = 0..t-1
         self._weights_cache: tuple[int, dict[int, float]] | None = None
-
-    @property
-    def clock_slot(self) -> SampleSlot:
-        return slot_from_linear(self._clock, self.cfg)
 
     @property
     def current_sample(self) -> int:
@@ -296,8 +305,8 @@ class PerNodeLedger:
         self._check_peer(peer)
         self._neighbors.add(peer)
 
-    def record_contact_fragment(self, peer: int, slot: SampleSlot, duration: float) -> None:
-        """Accumulate one contact fragment for (peer, slot).
+    def record_contact_fragment(self, peer: int, lin: int, duration: float) -> None:
+        """Accumulate one contact fragment for the peer in linear slot `lin`.
 
         Fragments for the open slot or earlier are accepted; a fragment
         with a past slot simply joins that sample index's next fold. A
@@ -306,28 +315,20 @@ class PerNodeLedger:
         self._check_peer(peer)
         if duration <= 0:
             raise ValueError("fragment duration must be > 0")
-        lin = slot.linear(self.cfg)
         if lin > self._clock:
-            raise LedgerOrderingError(
-                f"fragment for future slot {slot} (clock at {self.clock_slot})"
-            )
-        self._tct[peer, slot.sample_index] += duration
+            raise LedgerOrderingError(f"fragment for future slot {lin} (clock at {self._clock})")
+        self._tct[peer, lin % self.cfg.samples_per_day] += duration
         if lin == self._clock:
             self._neighbors.add(peer)
 
-    def roll_sample(self, finished: SampleSlot) -> None:
-        """Fold the just-finished sample into the per-day averages.
+    def roll_sample(self) -> None:
+        """Fold the open slot's sample into the per-day averages and open
+        the next slot.
 
         Every peer's average for that sample index advances by one day,
-        including peers with zero contact time. Rolling any slot other than
-        the open one is an ordering error.
+        including peers with zero contact time.
         """
-        lin = finished.linear(self.cfg)
-        if lin < self._clock:
-            raise LedgerOrderingError(f"slot {finished} already rolled")
-        if lin > self._clock:
-            raise LedgerOrderingError(f"slot {finished} not reached yet (clock at {self.clock_slot})")
-        i = finished.sample_index
+        i = self.current_sample
         j = self._rolls[i] + 1
         self._ad[:, i] = (self._tct[:, i] + (j - 1) * self._ad[:, i]) / j
         self._tct[:, i] = 0.0
@@ -371,13 +372,6 @@ class PerNodeLedger:
         """Cache the importance a peer reported at contact time."""
         self._check_peer(peer)
         self._peer_importance[peer] = float(value)
-        self._peer_importance_slot[peer] = self._clock
-
-    def last_known_importance(self, peer: int) -> float:
-        """Most recent importance exchanged with the peer, possibly from an
-        earlier sample; peers never met report the initial value."""
-        self._check_peer(peer)
-        return float(self._peer_importance[peer])
 
     def update_importance(self, sample_index: int | None = None) -> float:
         """Recompute this node's importance for the given sample (default: now).

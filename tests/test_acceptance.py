@@ -20,7 +20,6 @@ from dtnsim import (
     LogRecord,
     PeerSummary,
     SampleConfig,
-    SampleSlot,
     SocialLedger,
     WorkloadEntry,
     build_familiar_graph,
@@ -66,17 +65,17 @@ def test_criterion_1_equation_oracles():
         history = {(p, i): [] for p in range(1, peers + 1) for i in range(t)}
         for day in range(days):
             for i in range(t):
-                slot = SampleSlot(day, i)
+                lin = day * t + i
                 for p in range(1, peers + 1):
                     fragments = [
                         rng.uniform(1.0, 86400 / t / 3) for _ in range(rng.randint(0, 2))
                     ]
                     for fragment in fragments:
-                        ledger.record_contact_fragment(0, p, slot, fragment)
+                        ledger.record_contact_fragment(0, p, lin, fragment)
                     total = sum(fragments)
                     assert close(ledger.tct[0, p, i], total)
                     history[(p, i)].append(total)
-                ledger.roll_sample(slot)
+                ledger.roll_sample()
 
         oracle_ad = {
             p: [cumulative_average(history[(p, i)]) for i in range(t)]
@@ -93,7 +92,7 @@ def test_criterion_1_equation_oracles():
         for p in neighbors:
             ledger.mark_met(0, p)
             cached[p] = rng.uniform(1 - damping, 4.0)
-            ledger.record_peer_importance(0, p, cached[p])
+            ledger._peer_importance[0][p] = cached[p]
         sample = ledger.current_sample
         expected = node_importance(
             damping,
@@ -348,7 +347,7 @@ def test_criterion_6_trace_round_trip_and_lossless_splitting():
         cfg = SampleConfig(t, 86400)
         start = rng.uniform(0, 6 * 86400)
         ev = ContactEvent(0, 1, start, start + rng.uniform(1e-3, 3 * 86400))
-        parts = split_contact_by_samples(ev, cfg)
+        parts = split_contact_by_samples(ev.start, ev.end, cfg.sample_length)
         assert math.isclose(sum(d for _, d in parts), ev.duration, rel_tol=1e-12)
         checked += 1
     print(
@@ -377,8 +376,8 @@ def test_criterion_7_rank_invariances():
             for i in range(4):
                 for p, row in ad.items():
                     if row[i] > 0:
-                        ledger.record_contact_fragment(0, p, SampleSlot(0, i), factor * row[i])
-                ledger.roll_sample(SampleSlot(0, i))
+                        ledger.record_contact_fragment(0, p, i, factor * row[i])
+                ledger.roll_sample()
             return ledger.weights_to_all_neighbors(0)  # at sample 0: the clock is on day 1
 
         base_w = weights_for(1.0)

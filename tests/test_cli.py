@@ -167,6 +167,45 @@ def test_run_rejects_nan_routine_duration_at_load(tmp_path, capsys):
     assert not (tmp_path / "res").exists()
 
 
+MISSHAPEN_SPECS = [
+    # (an edit of the routine spec, or a whole spec; the error that names its key)
+    (lambda s: s.update(groups=[0, 1, 2]), "groups: expected a JSON object"),
+    (lambda s: [1, 2], "spec: expected a JSON object"),
+    (lambda s: s.update(activities=[]), "activities: expected a JSON object"),
+    (lambda s: s["activities"].update(work=5), "activities.work: expected a JSON object"),
+    (lambda s: s["activities"]["work"].update(samples=9), "activities.work.samples: expected a list"),
+    (lambda s: s["groups"].update(work=1), "groups.work: expected a list"),
+]
+MISSHAPEN_IDS = [message.split(":")[0] for _, message in MISSHAPEN_SPECS]
+
+
+def _misshapen(spec: dict, edit) -> object:
+    edited = edit(spec)
+    return spec if edited is None else edited
+
+
+@pytest.mark.parametrize("edit,message", MISSHAPEN_SPECS, ids=MISSHAPEN_IDS)
+def test_gen_trace_names_the_misshapen_key(tmp_path, capsys, edit, message):
+    spec = write_routine_spec(tmp_path / "routine.json")
+    spec.write_text(json.dumps(_misshapen(json.loads(spec.read_text()), edit)))
+    out = tmp_path / "trace.csv"
+    assert main(["gen-trace", "--spec", str(spec), "--out", str(out)]) == EXIT_USAGE
+    assert f"spec error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit,message", MISSHAPEN_SPECS, ids=MISSHAPEN_IDS)
+def test_run_names_the_misshapen_routine_key_at_load(tmp_path, capsys, edit, message):
+    write_routine_spec(tmp_path / "routine.json")
+    cfg_path = write_config(tmp_path / "plan.json", "res")
+    raw = json.loads(cfg_path.read_text())
+    raw["trace"]["routine"] = _misshapen(raw["trace"]["routine"], edit)
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_USAGE
+    assert f"config error: trace.routine: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
 def test_convert_trace_haggle(tmp_path):
     src = tmp_path / "imote.txt"
     src.write_text("# haggle style\n3 7 50 80\n7 9 60 90\n")

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dtnsim import (
@@ -12,16 +12,14 @@ from dtnsim import (
     RelationActivity,
     RoutineSpec,
     SampleConfig,
-    SampleSlot,
     TraceFormatError,
     generate_routine_trace,
     parse_contact_trace,
-    sample_slot_of,
     serialize_contact_trace,
     split_contact_by_samples,
 )
 
-from oracles import reference_routine_trace
+from oracles import reference_routine_trace, split_by_day_and_sample
 from scenarios import desk_spec
 
 CFG24 = SampleConfig(24, 86400)
@@ -54,56 +52,65 @@ def test_sample_config_validation():
         SampleConfig(7, 86400)  # not divisible
 
 
-def test_sample_slot_of_examples():
-    assert sample_slot_of(0, CFG24) == SampleSlot(0, 0)
-    assert sample_slot_of(86400, CFG24) == SampleSlot(1, 0)
-    assert sample_slot_of(27000, CFG24) == SampleSlot(0, 7)  # 7.5 h
-    with pytest.raises(ValueError):
-        sample_slot_of(-1, CFG24)
-
-
 def test_sample_slot_monotone_and_periodic():
+    # a fragment's slot never falls as its start grows, and one day later it
+    # is the same sample of the next day
     rng = random.Random(7)
-    prev = SampleSlot(0, 0)
+    prev = 0
     ts = 0.0
     for _ in range(500):
         ts += rng.uniform(0, 7200)
-        slot = sample_slot_of(ts, CFG24)
-        assert slot >= prev
-        prev = slot
-        shifted = sample_slot_of(ts + 86400, CFG24)
-        assert shifted.sample_index == slot.sample_index
-        assert shifted.day_index == slot.day_index + 1
+        lin = split_contact_by_samples(ts, ts + 1.0, 3600)[0][0]
+        assert lin >= prev
+        prev = lin
+        assert split_contact_by_samples(ts + 86400, ts + 86401, 3600)[0][0] == lin + 24
 
 
 def test_split_examples():
-    assert split_contact_by_samples(ContactEvent(0, 1, 0, 3600), CFG24) == [
-        (SampleSlot(0, 0), 3600.0)
-    ]
-    assert split_contact_by_samples(ContactEvent(0, 1, 27000, 30600), CFG24) == [
-        (SampleSlot(0, 7), 1800.0),
-        (SampleSlot(0, 8), 1800.0),
-    ]
-    assert split_contact_by_samples(ContactEvent(0, 1, 85800, 87000), CFG24) == [
-        (SampleSlot(0, 23), 600.0),
-        (SampleSlot(1, 0), 600.0),
-    ]
+    assert split_contact_by_samples(0.0, 3600.0, 3600) == [(0, 3600.0)]
+    assert split_contact_by_samples(27000.0, 30600.0, 3600) == [(7, 1800.0), (8, 1800.0)]
+    assert split_contact_by_samples(85800.0, 87000.0, 3600) == [(23, 600.0), (24, 600.0)]
 
 
 def test_split_is_lossless_and_bounded():
     rng = random.Random(42)
     for _ in range(2000):
         t = rng.choice([1, 2, 3, 4, 6, 8, 12, 24, 48])
-        cfg = SampleConfig(t, 86400)
+        length = SampleConfig(t, 86400).sample_length
         start = rng.uniform(0, 5 * 86400)
-        duration = rng.uniform(1e-3, 2.5 * 86400)
-        ev = ContactEvent(0, 1, start, start + duration)
-        parts = split_contact_by_samples(ev, cfg)
+        end = start + rng.uniform(1e-3, 2.5 * 86400)
+        parts = split_contact_by_samples(start, end, length)
         total = sum(d for _, d in parts)
-        assert math.isclose(total, ev.duration, rel_tol=1e-12)
-        assert all(d <= cfg.sample_length + 1e-9 for _, d in parts)
-        linear = [slot.linear(cfg) for slot, _ in parts]
+        assert math.isclose(total, end - start, rel_tol=1e-12)
+        assert all(d <= length + 1e-9 for _, d in parts)
+        linear = [lin for lin, _ in parts]
         assert linear == list(range(linear[0], linear[0] + len(parts)))
+
+
+@pytest.mark.parametrize("samples_per_day", [1, 3, 24])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+@example(data=None)
+def test_split_matches_day_and_sample_oracle(samples_per_day, data):
+    # the linear slot of each fragment is the one that the day, then the
+    # sample within the day, name: boundary-aligned starts and ends, and
+    # times up to 1.6e12 s, where a float second is no longer exact
+    cfg = SampleConfig(samples_per_day, 86400)
+    length = cfg.sample_length
+    if data is None:
+        start, end = 1.6e12 - 1.6e12 % length, 1.6e12 + length  # a boundary, far out
+    else:
+        boundary = st.integers(0, int(1.6e12) // length).map(lambda k: float(k * length))
+        start = data.draw(st.one_of(st.floats(0.0, 1.6e12), boundary), label="start")
+        end = data.draw(
+            st.one_of(
+                st.floats(1e-3, 3.0 * 86400).map(lambda d: start + d),
+                st.integers(1, 3 * samples_per_day).map(lambda k: float((start // length + k) * length)),
+            ),
+            label="end",
+        )
+        assume(start < end)
+    assert split_contact_by_samples(start, end, length) == split_by_day_and_sample(start, end, cfg)
 
 
 def test_parse_csv_and_haggle():

@@ -227,15 +227,15 @@ def test_benchmark_tracer_wraps_live_names():
         Simulation(dataclasses.replace(cfg, router="epidemic")).run()
     assert SocialLedger.__dict__["roll_sample"] is original  # restored
     wrapped = [
-        "ledger.fragment", "ledger.roll", "ledger.importance", "ledger.weights",
+        "contacts.split", "ledger.fragment", "ledger.roll", "ledger.importance", "ledger.weights",
         "routing.decide", "engine.init", "engine.run", "engine.recompute", "engine.admit",
         "engine.transfer", "eventlog.csv",
     ]
     assert [key for key in wrapped if key not in tracer.stats] == []
     # and the dlife run reaches each ledger and decision name
     metrics = tracer.layer_metrics()
-    for name in ("ledger.fragment", "ledger.roll", "ledger.importance", "ledger.weights",
-                 "routing.decide", "engine.admit"):
+    for name in ("contacts.split", "ledger.fragment", "ledger.roll", "ledger.importance",
+                 "ledger.weights", "routing.decide", "engine.admit"):
         assert metrics[f"{name}_calls"][0] > 0, name
     assert metrics["routing.offered"][0] > 0
     assert metrics["routing.replicated"][0] > 0

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtnsim import SampleConfig, SocialLedger
-from dtnsim.contacts import slot_from_linear
 
 from oracles import PerNodeLedger
 
@@ -47,19 +46,17 @@ def test_table_matches_per_node_ledgers(samples_per_day, data):
         step = data.draw(st.sampled_from(["fragment", "roll", "start", "seen"]), label="step")
         clock = table.clock
         if step == "roll":
-            slot = slot_from_linear(clock, cfg)
             for ledger in model:
-                ledger.roll_sample(slot)
-            table.roll_sample(slot)
+                ledger.roll_sample()
+            table.roll_sample()
             continue
         a, b = data.draw(pair, label="pair")
         if step == "fragment":
             lin = clock - data.draw(st.integers(0, min(clock, 2 * samples_per_day)), label="back")
-            slot = slot_from_linear(lin, cfg)
             d = data.draw(duration, label="duration")
-            model[a].record_contact_fragment(b, slot, d)
-            model[b].record_contact_fragment(a, slot, d)
-            table.record_contact_fragment(a, b, slot, d)
+            model[a].record_contact_fragment(b, lin, d)
+            model[b].record_contact_fragment(a, lin, d)
+            table.record_contact_fragment(a, b, lin, d)
         elif step == "seen":
             model[a].mark_peer_seen(b)
             model[b].mark_peer_seen(a)
@@ -84,6 +81,5 @@ def test_table_matches_per_node_ledgers(samples_per_day, data):
             for peer in range(n):
                 if peer != node:
                     assert same_importance(
-                        table.last_known_importance(node, peer),
-                        ledger.last_known_importance(peer),
+                        table._peer_importance[node][peer], ledger._peer_importance[peer]
                     )
