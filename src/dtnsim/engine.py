@@ -67,7 +67,7 @@ DROP_POLICIES = ("oldest_first", "newest_first")
 _NO_WEIGHTS = MappingProxyType({})
 
 _ORDER_KEY = attrgetter("order_key")
-_DIRECTION_KEY = attrgetter("key")
+_INDEX_KEY = attrgetter("index")
 
 
 class SimStartupError(ValueError):
@@ -264,16 +264,22 @@ def transfer_within_contact(
 
 
 class _Direction:
-    """One direction of an ongoing contact: what its sender has committed to
-    the receiver, and what changed since its last scan."""
+    """One direction of an ongoing contact, the unit the engine queues and
+    scans: what its sender has committed to the receiver, and what changed
+    since its last scan."""
 
-    __slots__ = ("key", "dst", "sent", "inputs", "pending")
+    __slots__ = ("contact", "index", "src", "dst", "reverse", "queued", "sent", "inputs", "pending")
 
-    def __init__(self, index: int, src: int, dst: int):
-        # (contact index, sender, receiver): its entry in the scan queue, and
-        # in contact-index order among a node's directions
-        self.key = (index, src, dst)
+    def __init__(self, contact: _OngoingContact, index: int, src: int, dst: int):
+        # `contact` and `reverse` (the contact's other direction) are cleared
+        # when the contact ends: that marks a queued direction dead, and
+        # leaves no reference cycle behind
+        self.contact: _OngoingContact | None = contact
+        self.index = index  # contact index: the order of a node's outbound directions
+        self.src = src
         self.dst = dst
+        self.reverse: _Direction | None = None
+        self.queued = False  # in the scan queue
         # rows committed to this contact (done, in flight, or abandoned)
         self.sent: set[int] = set()
         # the decision inputs of the last scan; None until the first one
@@ -291,7 +297,9 @@ class _OngoingContact:
         self.event = event
         self.busy_until = busy_until
         a, b = event.node_a, event.node_b
-        self.by_sender = {a: _Direction(index, a, b), b: _Direction(index, b, a)}
+        ab, ba = _Direction(self, index, a, b), _Direction(self, index, b, a)
+        ab.reverse, ba.reverse = ba, ab
+        self.directions = (ab, ba)
         self.aborts: list[tuple[int, int, int]] = []  # (from, to, row), logged at contact end
 
 
@@ -320,10 +328,9 @@ class Simulation:
         self._reads_ledger = cfg.router in LEDGER_ROUTERS
         self.log = EventLog()
         self.ongoing: dict[int, _OngoingContact] = {}
-        # per node, the directions of its ongoing contacts that it sends on
-        # and that it receives on, each in contact-index order
+        # per node, the directions of its ongoing contacts that it sends on,
+        # in contact-index order; those it receives on are their reverses
         self.outbound: list[list[_Direction]] = [[] for _ in range(n)]
-        self.inbound: list[list[_Direction]] = [[] for _ in range(n)]
         self.communities = CommunityMap.empty()
         self.centralities = CentralityTable.empty(cfg.centrality_window)
         self._recomputes = 0  # a decision input: each recompute may change every answer
@@ -343,8 +350,7 @@ class Simulation:
         self._last_end = max((ev.end for ev in cfg.trace.events), default=self.epoch)
         self._rolls_until = min(self.horizon, self._last_end)
         self._heap: list[tuple] = []
-        self._evals: deque[tuple[int, int, int]] = deque()  # (contact index, src, dst)
-        self._evals_pending: set[tuple[int, int, int]] = set()
+        self._evals: deque[_Direction] = deque()
 
     def _validate(self) -> None:
         # the settings were checked when the SimConfig was built; these
@@ -515,9 +521,9 @@ class Simulation:
     def _on_contact_end(self, time: float, index: int) -> None:
         oc = self.ongoing.pop(index)
         ev = oc.event
-        for src, direction in oc.by_sender.items():
-            self.outbound[src].remove(direction)
-            self.inbound[direction.dst].remove(direction)
+        for direction in oc.directions:
+            self.outbound[direction.src].remove(direction)
+            direction.contact = direction.reverse = None
         for src, dst, row in oc.aborts:
             self.log.append(LogRecord(time, KIND_ABORTED, self.rows[row].id, src, dst))
         if self.ledger is not None:
@@ -553,9 +559,8 @@ class Simulation:
         ev = self.cfg.trace.events[index]
         oc = _OngoingContact(index, ev, time)
         self.ongoing[index] = oc
-        for src, direction in oc.by_sender.items():
-            insort(self.outbound[src], direction, key=_DIRECTION_KEY)
-            insort(self.inbound[direction.dst], direction, key=_DIRECTION_KEY)
+        for direction in oc.directions:
+            insort(self.outbound[direction.src], direction, key=_INDEX_KEY)
         a, b = ev.node_a, ev.node_b
 
         ledger = self.ledger
@@ -565,7 +570,8 @@ class Simulation:
                 meta_bytes = sum(64 + 8 * len(ledger.weights_to_all_neighbors(n)) for n in (a, b))
                 oc.busy_until = time + meta_bytes * 8.0 / self.cfg.bandwidth
 
-        self._evaluate_contact(index, time)
+        for direction in oc.directions:
+            self._evaluate_direction(direction, time)
 
     # -- decisions ---------------------------------------------------------
 
@@ -588,40 +594,34 @@ class Simulation:
                 row in receiver.buffer or row in receiver.delivered or row in direction.sent
             ):
                 direction.pending.add(row)
-            key = direction.key
-            if key not in self._evals_pending:
-                self._evals_pending.add(key)
-                self._evals.append(key)
+            if not direction.queued:
+                direction.queued = True
+                self._evals.append(direction)
 
     def _mark_departed(self, node_id: int, row: int) -> None:
         # Row `row` left node_id's buffer, so the senders of node_id's
-        # inbound directions may offer it again at their next scan. Expiry
-        # needs no mark: the row leaves every buffer at once.
-        for direction in self.inbound[node_id]:
-            direction.pending.add(row)
+        # inbound directions (the reverses of its outbound ones) may offer it
+        # again at their next scan. Expiry needs no mark: the row leaves
+        # every buffer at once.
+        for direction in self.outbound[node_id]:
+            direction.reverse.pending.add(row)
 
     def _drain_evals(self, time: float) -> None:
-        while self._evals:
-            key = self._evals.popleft()
-            self._evals_pending.discard(key)
-            index, src, dst = key
-            if index in self.ongoing:
-                self._evaluate_direction(self.ongoing[index], src, dst, time)
+        evals = self._evals
+        while evals:
+            direction = evals.popleft()
+            direction.queued = False
+            if direction.contact is not None:
+                self._evaluate_direction(direction, time)
 
-    def _evaluate_contact(self, index: int, time: float) -> None:
-        oc = self.ongoing[index]
-        a, b = oc.event.node_a, oc.event.node_b
-        self._evaluate_direction(oc, a, b, time)
-        self._evaluate_direction(oc, b, a, time)
-
-    def _evaluate_direction(self, oc: _OngoingContact, src: int, dst: int, time: float) -> None:
+    def _evaluate_direction(self, direction: _Direction, time: float) -> None:
         # A row the last scan answered "no" can change its answer only when
         # it enters the sender or leaves the receiver (it is then pending)
         # or when the decision inputs change; a "yes" is in the sent set. So
         # with the same inputs as the last scan on this contact, only the
         # pending rows are looked at, and otherwise the whole buffer. Either
         # way one filter keeps the candidates, and the router sees only those.
-        direction = oc.by_sender[src]
+        src, dst = direction.src, direction.dst
         sender = self.nodes[src]
         receiver = self.nodes[dst]
         ledger = self.ledger if self._reads_ledger else None
@@ -666,14 +666,13 @@ class Simulation:
         decision = decide(self.cfg.router, carrier, peer, self.communities, self.centralities)
         if not decision.replicate:
             return
-        self._apply_decision(oc, src, dst, time, decision)
+        self._apply_decision(direction, time, decision)
 
-    def _apply_decision(
-        self, oc: _OngoingContact, src: int, dst: int, time: float, decision: RouterDecision
-    ) -> None:
+    def _apply_decision(self, direction: _Direction, time: float, decision: RouterDecision) -> None:
         # every offered row is committed to this contact: done, in flight, or
         # aborted because the link is saturated, which is not retried
-        oc.by_sender[src].sent.update(decision.replicate)
+        direction.sent.update(decision.replicate)
+        src, dst, oc = direction.src, direction.dst, direction.contact
         delete_rows = set(decision.delete_after)
         msgs = [self.rows[row] for row in decision.replicate]
         if self.cfg.bandwidth is None:

@@ -18,6 +18,7 @@ from .contacts import (
     RoutineSpec,
     SampleConfig,
     _integer,
+    _list,
     _number,
     generate_routine_trace,
     load_contact_trace,
@@ -109,10 +110,7 @@ _PLAN_KEYS = ("routers", "ttls", "seeds", "trace", "trace_format", "workload", "
 
 
 def _sweep(raw: Mapping, key: str, default: tuple, read) -> tuple:
-    values = raw.get(key, default)
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(key, f"expected a list, got {values!r}")
-    values = tuple(read(f"{key}[{i}]", v) for i, v in enumerate(values))
+    values = tuple(read(f"{key}[{i}]", v) for i, v in enumerate(_list(key, raw.get(key, default))))
     if not values:
         raise ConfigError(key, "need at least one value")
     if len(set(values)) != len(values):
@@ -122,7 +120,7 @@ def _sweep(raw: Mapping, key: str, default: tuple, read) -> tuple:
 
 def _workload_generator(spec: Mapping) -> dict:
     """The generator spec read and checked: a count > 0, a finite window
-    [start, end] with start <= end, and sizes 0 < min_size <= max_size."""
+    [start, end] with 0 <= start <= end, and sizes 0 < min_size <= max_size."""
     unknown = sorted(set(spec) - {"count", "window", "min_size", "max_size"})
     if unknown:
         raise ConfigError(f"workload.{unknown[0]}", "unknown key")
@@ -133,8 +131,8 @@ def _workload_generator(spec: Mapping) -> dict:
     if not isinstance(window, (list, tuple)) or len(window) != 2:
         raise ConfigError("workload.window", f"expected [start, end], got {window!r}")
     lo, hi = (_number(f"workload.window[{i}]", v) for i, v in enumerate(window))
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise ConfigError("workload.window", f"expected finite start <= end, got {window!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0 <= lo <= hi):
+        raise ConfigError("workload.window", f"expected finite 0 <= start <= end, got {window!r}")
     sizes = (_integer("workload.min_size", spec.get("min_size", 1000)),
              _integer("workload.max_size", spec.get("max_size", 100000)))
     if not 0 < sizes[0] <= sizes[1]:
@@ -448,23 +446,18 @@ def compare_results(
                 continue
             mean_a = sum(a for a, _ in pairs) / len(pairs)
             mean_b = sum(b for _, b in pairs) / len(pairs)
-            diffs = [a - b for a, b in pairs]
-            diff_summary = summarize(diffs) if len(diffs) >= 2 else None
+            # the delta and its half-width take the same scale
             if metric == "delivery":
-                delta, unit = (mean_a - mean_b) * 100.0, "pp"
-                ci = None if diff_summary is None else (
-                    None if diff_summary.ci_half_width is None else diff_summary.ci_half_width * 100.0
-                )
+                unit, scale = "pp", lambda x: x * 100.0
+            elif mean_b == 0:
+                continue
             else:
-                if mean_b == 0:
-                    continue
-                delta, unit = (mean_a - mean_b) / mean_b * 100.0, "%"
-                ci = None if diff_summary is None else (
-                    None
-                    if diff_summary.ci_half_width is None
-                    else diff_summary.ci_half_width / mean_b * 100.0
-                )
-            out.append(ComparisonRow(ttl, metric, mean_a, mean_b, delta, unit, ci))
+                unit, scale = "%", lambda x: x / mean_b * 100.0
+            ci = summarize([a - b for a, b in pairs]).ci_half_width  # None for one pair
+            out.append(ComparisonRow(
+                ttl, metric, mean_a, mean_b, scale(mean_a - mean_b), unit,
+                None if ci is None else scale(ci),
+            ))
     return out
 
 

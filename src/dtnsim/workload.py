@@ -116,12 +116,16 @@ def generate_workload(
     """Random workload: uniform creation times in [window), uniform distinct
     source/destination pairs, sizes uniform over size_range (bytes, inclusive).
     Deterministic for a fixed seed; entries come back sorted by creation time.
+    The window must be finite with 0 <= start <= end, so that every entry is
+    a valid workload file row.
     """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     if node_count < 2:
         raise ValueError("need at least 2 nodes for unicast traffic")
     lo, hi = window
-    if not lo <= hi:
-        raise ValueError("window start must be <= window end")
+    if not (0 <= lo <= hi < math.inf):  # also rejects nan
+        raise ValueError(f"window must be finite with 0 <= start <= end, got {window}")
     if size_range[0] <= 0 or size_range[0] > size_range[1]:
         raise ValueError("invalid size range")
     rng = random.Random(seed)

@@ -451,10 +451,11 @@ class FullScanSimulation(Simulation):
     `Simulation` show that looking only at the pending rows decides exactly
     as a full scan does."""
 
-    def _evaluate_direction(self, oc, src, dst, time):
+    def _evaluate_direction(self, direction, time):
+        src, dst = direction.src, direction.dst
         sender = self.nodes[src]
         receiver = self.nodes[dst]
-        sent = oc.by_sender[src].sent
+        sent = direction.sent
         candidates = [
             m for m in sender.ordered
             if m.row not in receiver.buffer and m.row not in receiver.delivered
@@ -472,7 +473,7 @@ class FullScanSimulation(Simulation):
         peer = PeerSummary(dst, weights[1], importance[1])
         decision = decide(self.cfg.router, carrier, peer, self.communities, self.centralities)
         if decision.replicate:
-            self._apply_decision(oc, src, dst, time, decision)
+            self._apply_decision(direction, time, decision)
 
 
 def reference_routine_trace(spec: RoutineSpec, seed: int) -> ContactTrace:

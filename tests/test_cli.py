@@ -142,6 +142,18 @@ def test_gen_workload_and_trace(tmp_path):
     assert trace.node_count == 6
 
 
+@pytest.mark.parametrize("args", [
+    ["--count", "3", "--end", "inf"],
+    ["--count", "-2", "--end", "100"],
+    ["--count", "5", "--start", "-3600", "--end", "100"],
+])
+def test_gen_workload_rejects_what_no_workload_file_holds(tmp_path, capsys, args):
+    out = tmp_path / "wl.csv"
+    assert main(["gen-workload", "--nodes", "3", *args, "--out", str(out)]) == EXIT_USAGE
+    assert "workload error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _nan_background(spec: dict) -> dict:
     spec["activities"]["background"] = {"samples": [0, 1, 2], "probability": 1.0, "duration": math.nan}
     return spec

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 from dataclasses import replace
@@ -19,6 +20,7 @@ from dtnsim import (
     transfer_within_contact,
 )
 from dtnsim.engine import (
+    BANDWIDTH_WIFI_11MBPS,
     KIND_ABORTED,
     KIND_CREATED,
     KIND_DELETED_COMMUNITY,
@@ -28,6 +30,7 @@ from dtnsim.engine import (
     KIND_REPLICATED,
 )
 from dtnsim.ledger import dump_ledgers_csv
+from dtnsim.routing import ROUTER_NAMES
 from dtnsim.workload import WorkloadEntry
 
 from oracles import earliest_delivery, replay_log, rescan_window_centrality
@@ -494,6 +497,29 @@ def test_bubblerap_centralities_match_rescan_of_ended_contacts():
         ended, sim.cfg.centrality_window, sim.communities, now=times[-1], epoch=sim.epoch
     )
     assert sim.centralities.num_windows > 1 and sim.communities.communities
+
+
+def test_a_run_leaves_no_reference_cycle():
+    # An ended contact drops its directions' links back to it and to each
+    # other, so reference counting alone frees what a run is done with, and
+    # the cyclic collector finds nothing to hold on to.
+    trace, workload = golden_scenario()
+    cfgs = [
+        desk_sim_config(trace, workload, router, DAY, buffer_capacity=GOLDEN_CAPACITY,
+                        bandwidth=bandwidth)
+        for router in ROUTER_NAMES
+        for bandwidth in (None, BANDWIDTH_WIFI_11MBPS)
+    ]
+    for cfg in cfgs:  # a first run's lazy imports leave cycles of their own
+        Simulation(cfg).run()
+    gc.collect()
+    gc.disable()
+    try:
+        for cfg in cfgs:
+            Simulation(cfg).run()
+            assert gc.collect() == 0, (cfg.router, cfg.bandwidth)
+    finally:
+        gc.enable()
 
 
 def test_buffer_pressure_drops_are_logged():

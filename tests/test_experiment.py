@@ -150,6 +150,7 @@ def test_knobs_must_be_finite_and_positive(knob, value):
      "workload.min_size"),
     ("workload", {"count": 20, "window": [0, 1], "max_size": 1.5}, "workload.max_size"),
     ("seconds_per_day", 86401, "seconds_per_day"),  # not a multiple of samples_per_day
+    ("workload", {"count": 5, "window": [-3600, 100]}, "workload.window"),
 ])
 def test_loader_rejects_unknown_keys_and_wrong_types(key, value, path):
     raw = base_config()

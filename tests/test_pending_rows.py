@@ -253,11 +253,11 @@ def test_offers_no_more_than_the_full_scan(monkeypatch, golden, router, bandwidt
 
 
 class _ScanRecorder(Simulation):
-    """Notes the contact and direction of the scan in progress."""
+    """Notes the direction of the scan in progress."""
 
-    def _evaluate_direction(self, oc, src, dst, time):
-        self.scan = oc, src, dst
-        super()._evaluate_direction(oc, src, dst, time)
+    def _evaluate_direction(self, direction, time):
+        self.scan = direction
+        super()._evaluate_direction(direction, time)
 
 
 def test_engine_offers_routers_only_candidates(monkeypatch, golden):
@@ -265,10 +265,11 @@ def test_engine_offers_routers_only_candidates(monkeypatch, golden):
     # message the receiver buffers, was delivered, or was sent on this
     # contact, nor about one addressed to the sender itself.
     def checked(name, carrier, peer, communities, centralities):
-        oc, src, dst = sim.scan
+        direction = sim.scan
+        src, dst = direction.src, direction.dst
         assert (carrier.node_id, peer.node_id) == (src, dst)
         receiver = sim.nodes[dst]
-        sent = oc.by_sender[src].sent
+        sent = direction.sent
         keys = [m.order_key for m in carrier.messages]
         assert keys == sorted(set(keys))
         for m in carrier.messages:

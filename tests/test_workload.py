@@ -1,4 +1,8 @@
+import math
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dtnsim import (
     Message,
@@ -69,6 +73,26 @@ def test_generate_workload_validation():
         generate_workload(5, 4, (10.0, 0.0), seed=0)
     with pytest.raises(ValueError):
         generate_workload(5, 4, (0.0, 10.0), seed=0, size_range=(0, 10))
+    with pytest.raises(ValueError, match="count"):
+        generate_workload(-2, 4, (0.0, 10.0), seed=0)
+    for window in [(-3600.0, 100.0), (0.0, math.inf), (math.nan, 10.0), (0.0, math.nan)]:
+        with pytest.raises(ValueError, match="window"):
+            generate_workload(5, 4, window, seed=0)
+
+
+_window_ends = st.floats(min_value=0.0, max_value=1e300, allow_nan=False, allow_infinity=False)
+
+
+@given(
+    st.integers(0, 30),
+    st.integers(2, 40),
+    st.tuples(_window_ends, _window_ends).map(sorted),
+    st.integers(0, 2**32),
+)
+def test_generated_workload_is_a_valid_workload_file(count, node_count, window, seed):
+    # whatever the generator accepts, the parser reads back unchanged
+    entries = generate_workload(count, node_count, tuple(window), seed)
+    assert parse_workload(serialize_workload(entries)) == entries
 
 
 def test_messages_from_workload():
