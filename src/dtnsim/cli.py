@@ -91,6 +91,9 @@ def _cmd_run(args) -> int:
         results_path, aggregate_path = run_experiment(
             cfg, jobs=max(1, args.jobs), dump_ledgers=args.dump_ledgers
         )
+    except ConfigError as exc:  # a check that needs the materialized scenario
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except Exception as exc:  # a failed cell fails the whole plan
         print(f"run failure: {exc}", file=sys.stderr)
         return EXIT_RUN_FAILURE

@@ -70,6 +70,16 @@ _ORDER_KEY = attrgetter("order_key")
 _INDEX_KEY = attrgetter("index")
 
 
+def run_epoch(epoch: float | None, trace: ContactTrace, sample: SampleConfig) -> float:
+    """A run's time origin: `epoch` when set, else the trace's first contact
+    start floored to a day (0 for a trace without contacts)."""
+    if epoch is not None:
+        return float(epoch)
+    if trace.events:
+        return (trace.events[0].start // sample.seconds_per_day) * sample.seconds_per_day
+    return 0.0
+
+
 class SimStartupError(ValueError):
     """Configuration inconsistency detected before the run starts. `field`
     names the `SimConfig` field at fault and `reason` says what is wrong with
@@ -82,6 +92,9 @@ class SimStartupError(ValueError):
 
 
 class LogRecord(NamedTuple):
+    """The field names of an event-log record. The engine logs plain tuples
+    in this order; `LogRecord._make(r)` names the fields of one."""
+
     time: float
     kind: str
     msg: str
@@ -92,12 +105,12 @@ class LogRecord(NamedTuple):
 
 @dataclass
 class EventLog:
-    """Ordered record of everything that happened to messages in one run."""
+    """Ordered record of everything that happened to messages in one run:
+    `(time, kind, msg, node, peer, size)` tuples in `LogRecord` order. An
+    exact tuple of atoms is untracked by the cyclic GC at its first
+    collection, so a full collection does not walk the log."""
 
-    records: list[LogRecord] = field(default_factory=list)
-
-    def append(self, record: LogRecord) -> None:
-        self.records.append(record)
+    records: list[tuple] = field(default_factory=list)
 
     def __iter__(self):
         return iter(self.records)
@@ -111,11 +124,18 @@ class EventLog:
         size is an empty field."""
         yield EVENT_LOG_CSV_HEADER + "\n"
         records = self.records
+        # simultaneous records share the engine's time object, so each time
+        # object is formatted once per run of them; keyed by identity, as
+        # equal times (0.0 and -0.0, 1 and 1.0) may differ in `repr`
+        last, stamp = object(), ""
         for start in range(0, len(records), chunk_records):
-            yield "".join([
-                f'{t!r},{k},{m},{n},{"" if p is None else p},{"" if s is None else s}\n'
-                for t, k, m, n, p, s in records[start:start + chunk_records]
-            ])
+            lines = []
+            append = lines.append
+            for t, k, m, n, p, s in records[start:start + chunk_records]:
+                if t is not last:
+                    last, stamp = t, repr(t)
+                append(f'{stamp},{k},{m},{n},{"" if p is None else p},{"" if s is None else s}\n')
+            yield "".join(lines)
 
     def to_csv(self) -> str:
         """The whole CSV text: the chunks joined."""
@@ -327,6 +347,7 @@ class Simulation:
         self.holders: list[int] = [0] * len(self.rows)
         self._reads_ledger = cfg.router in LEDGER_ROUTERS
         self.log = EventLog()
+        self._record = self.log.records.append
         self.ongoing: dict[int, _OngoingContact] = {}
         # per node, the directions of its ongoing contacts that it sends on,
         # in contact-index order; those it receives on are their reverses
@@ -383,13 +404,7 @@ class Simulation:
 
     def _resolve_epoch(self) -> float:
         cfg = self.cfg
-        if cfg.epoch is not None:
-            epoch = float(cfg.epoch)
-        elif cfg.trace.events:
-            first = cfg.trace.events[0].start
-            epoch = (first // cfg.sample.seconds_per_day) * cfg.sample.seconds_per_day
-        else:
-            epoch = 0.0
+        epoch = run_epoch(cfg.epoch, cfg.trace, cfg.sample)
         if cfg.trace.events and cfg.trace.events[0].start < epoch:
             raise SimStartupError("epoch must not be after the first contact")
         for row, entry in enumerate(cfg.workload):
@@ -481,12 +496,12 @@ class Simulation:
             node_id = (holders & -holders).bit_length() - 1
             holders &= holders - 1
             self.nodes[node_id].remove(row)
-            self.log.append(LogRecord(time, KIND_EXPIRED, msg_id, node_id))
+            self._record((time, KIND_EXPIRED, msg_id, node_id, None, None))
 
     def _on_transfer_complete(self, time: float, src: int, dst: int, row: int, flags: int) -> None:
         m = self.rows[row]
         if m.expires_at <= time:
-            self.log.append(LogRecord(time, KIND_ABORTED, m.id, src, dst))
+            self._record((time, KIND_ABORTED, m.id, src, dst, None))
             return
         self._receive(time, src, dst, m, delete_after=bool(flags))
 
@@ -495,17 +510,17 @@ class Simulation:
         row = m.row
         if m.destination == dst:
             receiver.delivered.add(row)
-            self.log.append(LogRecord(time, KIND_REPLICATED, m.id, src, dst))
-            self.log.append(LogRecord(time, KIND_DELIVERED, m.id, src, dst))
+            self._record((time, KIND_REPLICATED, m.id, src, dst, None))
+            self._record((time, KIND_DELIVERED, m.id, src, dst, None))
         else:
             if not receiver.holds(row):
                 self._admit(time, receiver, m)
-                self.log.append(LogRecord(time, KIND_REPLICATED, m.id, src, dst))
+                self._record((time, KIND_REPLICATED, m.id, src, dst, None))
         if delete_after and self.nodes[src].holds(row):
             self.nodes[src].remove(row)
             self.holders[row] &= ~(1 << src)
             self._mark_departed(src, row)
-            self.log.append(LogRecord(time, KIND_DELETED_COMMUNITY, m.id, src))
+            self._record((time, KIND_DELETED_COMMUNITY, m.id, src, None, None))
 
     def _admit(self, time: float, node: NodeRuntime, m: Message) -> None:
         # every message fits an empty buffer (checked at startup), so it is admitted
@@ -514,7 +529,7 @@ class Simulation:
         for victim in evicted:
             self.holders[victim.row] &= ~(1 << node_id)
             self._mark_departed(node_id, victim.row)
-            self.log.append(LogRecord(time, KIND_DROPPED, victim.id, node_id))
+            self._record((time, KIND_DROPPED, victim.id, node_id, None, None))
         self.holders[m.row] |= 1 << node_id
         self._queue_evals(node_id, m.row)
 
@@ -525,7 +540,7 @@ class Simulation:
             self.outbound[direction.src].remove(direction)
             direction.contact = direction.reverse = None
         for src, dst, row in oc.aborts:
-            self.log.append(LogRecord(time, KIND_ABORTED, self.rows[row].id, src, dst))
+            self._record((time, KIND_ABORTED, self.rows[row].id, src, dst, None))
         if self.ledger is not None:
             start, end = ev.start - self.epoch, ev.end - self.epoch
             for lin, duration in split_contact_by_samples(start, end, self.cfg.sample.sample_length):
@@ -552,7 +567,7 @@ class Simulation:
     def _on_create(self, time: float, row: int) -> None:
         m = self.rows[row]
         self._admit(time, self.nodes[m.source], m)
-        self.log.append(LogRecord(time, KIND_CREATED, m.id, m.source, m.destination, m.size))
+        self._record((time, KIND_CREATED, m.id, m.source, m.destination, m.size))
         self._push(m.expires_at, _PRI_EXPIRE, 0, 0, row)
 
     def _on_contact_start(self, time: float, index: int) -> None:

@@ -23,7 +23,7 @@ from .contacts import (
     generate_routine_trace,
     load_contact_trace,
 )
-from .engine import SimConfig, SimStartupError
+from .engine import SimConfig, SimStartupError, run_epoch
 from .ledger import dump_ledgers_csv
 from .metrics import RunMetrics, aggregate_runs, compute_run_metrics, summarize
 from .routing import ROUTER_NAMES
@@ -241,6 +241,14 @@ def materialize_scenario(
         trace, _ = load_contact_trace(cfg.trace_path, cfg.trace_format)
     if cfg.workload_gen is not None:
         gen = cfg.workload_gen
+        # the run's epoch depends on the trace, so only now can the window
+        # be checked against it
+        epoch = run_epoch(cfg.sim.epoch, trace, cfg.sim.sample)
+        if gen["window"][0] < epoch:
+            raise ConfigError(
+                "workload.window",
+                f"starts at {gen['window'][0]!r}, before the run's epoch {epoch!r} (seed {seed})",
+            )
         entries = generate_workload(
             gen["count"], trace.node_count, gen["window"], seed, size_range=gen["size_range"]
         )

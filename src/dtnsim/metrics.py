@@ -5,27 +5,27 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .engine import EventLog, KIND_CREATED, KIND_DELIVERED, KIND_REPLICATED
+from .engine import KIND_CREATED, KIND_DELIVERED, KIND_REPLICATED
 
 
 class MetricsError(ValueError):
     """A metric summary was asked of zero values."""
 
 
-def _scan(log: EventLog) -> tuple[dict[str, float], dict[str, float], int]:
+def _scan(log: Iterable[tuple]) -> tuple[dict[str, float], dict[str, float], int]:
     created: dict[str, float] = {}
     first_delivery: dict[str, float] = {}
     replications = 0
-    for r in log:
-        if r.kind == KIND_CREATED:
-            created[r.msg] = r.time
-        elif r.kind == KIND_REPLICATED:
+    for time, kind, msg, _, _, _ in log:
+        if kind == KIND_CREATED:
+            created[msg] = time
+        elif kind == KIND_REPLICATED:
             replications += 1
-        elif r.kind == KIND_DELIVERED:
-            if r.msg not in first_delivery:
-                first_delivery[r.msg] = r.time
+        elif kind == KIND_DELIVERED:
+            if msg not in first_delivery:
+                first_delivery[msg] = time
     return created, first_delivery, replications
 
 
@@ -38,11 +38,12 @@ class RunMetrics:
     avg_latency: float | None
 
 
-def compute_run_metrics(log: EventLog) -> RunMetrics:
+def compute_run_metrics(log: Iterable[tuple]) -> RunMetrics:
     """Delivery probability: distinct delivered messages over created ones.
     Cost: all replications ever made (delivered or not, the delivered copy
     included) per distinct delivered message. Latency: mean time from
-    creation to first delivery, over delivered messages."""
+    creation to first delivery, over delivered messages. `log` is any
+    iterable of records in `LogRecord` field order."""
     created, delivered, replications = _scan(log)
     if not created:
         return RunMetrics(None, None, None)

@@ -18,6 +18,7 @@ from dtnsim import (
     ContactEvent,
     ContactTrace,
     LedgerOrderingError,
+    LogRecord,
     SampleConfig,
     Simulation,
     WindowMeetings,
@@ -204,7 +205,7 @@ def replay_log(log, capacity, node_count):
             raise ReplayError(f"t={time}: {why} of {msg} at node {node} which does not hold it")
         occupancy[node] -= buffers[node].pop(msg)
 
-    for r in log:
+    for r in map(LogRecord._make, log):
         if r.time < last_time:
             raise ReplayError(f"log goes backwards at t={r.time}")
         last_time = r.time
@@ -431,10 +432,11 @@ class MinScanBuffer:
 
 
 def record_csv_row(r):
-    """Reference CSV row of one log record."""
-    peer = "" if r.peer is None else str(r.peer)
-    size = "" if r.size is None else str(r.size)
-    return f"{r.time!r},{r.kind},{r.msg},{r.node},{peer},{size}"
+    """Reference CSV row of one log record, a tuple in `LogRecord` order."""
+    time, kind, msg, node, peer, size = r
+    peer = "" if peer is None else str(peer)
+    size = "" if size is None else str(size)
+    return f"{time!r},{kind},{msg},{node},{peer},{size}"
 
 
 def event_log_csv(records):

@@ -154,7 +154,7 @@ def test_criterion_3_engine_conservation_and_determinism():
         flood_cfg = desk_sim_config(sub, sub_workload, "epidemic", ttl=DAY, buffer_capacity=10**12)
         log = run_simulation(flood_cfg)
         first = {}
-        for r in log:
+        for r in map(LogRecord._make, log):
             if r.kind == "delivered":
                 first.setdefault(r.msg, r.time)
         for m in messages_from_workload(sub_workload, DAY):
@@ -175,7 +175,7 @@ CRITERION_4_TTLS = (DAY, 2 * DAY, 4 * DAY)
 def delivery_latencies(log):
     """Creation-to-first-delivery time of every message the log delivers."""
     created, latencies = {}, {}
-    for r in log:
+    for r in map(LogRecord._make, log):
         if r.kind == "created":
             created[r.msg] = r.time
         elif r.kind == "delivered" and r.msg not in latencies:

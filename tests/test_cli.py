@@ -99,6 +99,37 @@ def test_run_rejects_bad_inputs_at_load(tmp_path, capsys, key, value, path):
     assert not (tmp_path / "res").exists()
 
 
+
+def write_late_trace_plan(tmp_path: Path, window) -> Path:
+    # a 3-node trace whose first contact starts on day 3, so the run's
+    # epoch is 259,200 s
+    (tmp_path / "trace.csv").write_text("a,b,start,end\n0,1,259200,262800\n1,2,266400,270000\n")
+    cfg = {
+        "routers": ["epidemic"],
+        "ttls": [86400],
+        "seeds": [1],
+        "trace": "trace.csv",
+        "workload": {"count": 5, "window": window},
+        "out": "res",
+    }
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_run_rejects_a_workload_window_before_the_epoch(tmp_path, capsys):
+    cfg = write_late_trace_plan(tmp_path, [0, 100])
+    assert main(["run", "--config", str(cfg)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "config error: workload.window:" in err and "259200.0" in err
+    assert not (tmp_path / "res" / "results.csv").exists()
+
+
+def test_run_accepts_a_workload_window_from_the_epoch(tmp_path):
+    cfg = write_late_trace_plan(tmp_path, [259200, 259300])
+    assert main(["run", "--config", str(cfg)]) == EXIT_OK
+    assert (tmp_path / "res" / "results.csv").exists()
+
 def test_run_dump_ledgers(tmp_path):
     write_routine_spec(tmp_path / "routine.json")
     cfg = write_config(tmp_path / "plan.json", "res")

@@ -3,6 +3,7 @@ writes from them must hold, byte for byte, what the per-record CSV reference
 serializer writes."""
 
 import dataclasses
+import struct
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -67,6 +68,45 @@ def test_chunks_join_to_the_reference(records, chunk_records):
     assert len(chunks) == 1 + -(-len(records) // chunk_records)
     assert "".join(chunks) == EventLog(records).to_csv() == event_log_csv(records)
 
+
+
+def _distinct_copy(t):
+    """An object equal to `t` with the same `repr`, but not `t` itself
+    (except for the small ints that CPython shares)."""
+    if isinstance(t, float):
+        return struct.unpack("d", struct.pack("d", t))[0]
+    return int(str(t))
+
+
+# equal times whose `repr`s differ (0.0 and -0.0, 1 and 1.0), so a cache
+# keyed by equality, not identity, would write the wrong one
+time_value = (
+    st.sampled_from([0.0, -0.0, 1, 1.0]) | st.floats() | st.integers(-(2**70), 2**70)
+)
+
+
+@st.composite
+def runs_of_times(draw):
+    """Plain tuples in `LogRecord` order, in runs of one time value. A shared
+    run holds one time object, as the engine's simultaneous records do;
+    otherwise each record holds an equal but distinct object."""
+    records = []
+    runs = draw(st.lists(st.tuples(time_value, st.integers(1, 4), st.booleans()), max_size=8))
+    for value, length, shared in runs:
+        for i in range(length):
+            t = value if shared or i == 0 else _distinct_copy(value)
+            records.append((
+                t, draw(st.sampled_from(KINDS)), f"m{i:05d}", draw(st.integers(0, 9)),
+                draw(optional_int), draw(optional_int),
+            ))
+    return records
+
+
+@given(runs_of_times(), st.integers(1, 3))
+def test_time_stamp_cache_matches_the_reference(records, chunk_records):
+    # chunks of 1-3 records, so that a cached stamp crosses chunk boundaries
+    chunks = list(EventLog(records).csv_chunks(chunk_records))
+    assert "".join(chunks) == event_log_csv(records)
 
 def test_empty_log():
     assert EventLog().to_csv() == EVENT_LOG_CSV_HEADER + "\n" == event_log_csv([])
