@@ -199,8 +199,10 @@ class NodeRuntime:
     """One simulated node's bounded buffer, keyed by workload row.
 
     The buffer keeps two records of the same messages: `buffer`, row to
-    message, which decisions filter, and `ordered`, in `Message.order_key`
-    order as messages come and go, so eviction takes an end of it.
+    message, which says what the node holds (decisions filter it, and an
+    expiry asks every node's in node-id order), and `ordered`, in
+    `Message.order_key` order as messages come and go, so eviction takes an
+    end of it.
     """
 
     def __init__(self, node_id: int, capacity: int):
@@ -212,9 +214,6 @@ class NodeRuntime:
         # rows of the messages this node received as final recipient; the
         # candidate filter reads it so carriers do not replicate them again
         self.delivered: set[int] = set()
-
-    def holds(self, row: int) -> bool:
-        return row in self.buffer
 
     def add(self, m: Message) -> None:
         if m.row in self.buffer:
@@ -342,9 +341,6 @@ class Simulation:
         )
         # messages by workload row, the only key of a message in the run
         self.rows = messages_from_workload(cfg.workload, cfg.ttl)
-        # per message row, the nodes whose buffer holds it (bit i: node i);
-        # expiry visits only these. An int takes far less memory than a set.
-        self.holders: list[int] = [0] * len(self.rows)
         self._reads_ledger = cfg.router in LEDGER_ROUTERS
         self.log = EventLog()
         self._record = self.log.records.append
@@ -397,6 +393,12 @@ class Simulation:
                     raise SimStartupError(
                         f"workload row {row}: node {end} outside trace range 0..{n - 1}"
                     )
+            if entry.source == entry.destination:
+                raise SimStartupError(
+                    f"workload row {row}: source and destination are both node {entry.source}"
+                )
+            if entry.size <= 0:
+                raise SimStartupError(f"workload row {row}: size {entry.size} must be > 0")
             if entry.size > cfg.buffer_capacity:
                 raise SimStartupError(
                     f"workload row {row}: size {entry.size} exceeds buffer capacity"
@@ -488,15 +490,13 @@ class Simulation:
     def _on_expire(self, time: float, row: int) -> None:
         # In-flight transfers of the expired message abort at their completion
         # event; expiries are processed first among simultaneous events, so the
-        # message can never move at or after this instant.
+        # message can never move at or after this instant. Each buffer is
+        # asked in node-id order, so its expiries are logged in that order.
         msg_id = self.rows[row].id
-        holders = self.holders[row]
-        self.holders[row] = 0
-        while holders:  # lowest set bit first: ascending node id
-            node_id = (holders & -holders).bit_length() - 1
-            holders &= holders - 1
-            self.nodes[node_id].remove(row)
-            self._record((time, KIND_EXPIRED, msg_id, node_id, None, None))
+        for node in self.nodes:
+            if row in node.buffer:
+                node.remove(row)
+                self._record((time, KIND_EXPIRED, msg_id, node.node_id, None, None))
 
     def _on_transfer_complete(self, time: float, src: int, dst: int, row: int, flags: int) -> None:
         m = self.rows[row]
@@ -513,12 +513,11 @@ class Simulation:
             self._record((time, KIND_REPLICATED, m.id, src, dst, None))
             self._record((time, KIND_DELIVERED, m.id, src, dst, None))
         else:
-            if not receiver.holds(row):
+            if row not in receiver.buffer:
                 self._admit(time, receiver, m)
                 self._record((time, KIND_REPLICATED, m.id, src, dst, None))
-        if delete_after and self.nodes[src].holds(row):
+        if delete_after and row in self.nodes[src].buffer:
             self.nodes[src].remove(row)
-            self.holders[row] &= ~(1 << src)
             self._mark_departed(src, row)
             self._record((time, KIND_DELETED_COMMUNITY, m.id, src, None, None))
 
@@ -527,10 +526,8 @@ class Simulation:
         node_id = node.node_id
         _, evicted = buffer_admit(node, m, self.cfg.drop_policy)
         for victim in evicted:
-            self.holders[victim.row] &= ~(1 << node_id)
             self._mark_departed(node_id, victim.row)
             self._record((time, KIND_DROPPED, victim.id, node_id, None, None))
-        self.holders[m.row] |= 1 << node_id
         self._queue_evals(node_id, m.row)
 
     def _on_contact_end(self, time: float, index: int) -> None:

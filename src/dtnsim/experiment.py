@@ -20,6 +20,7 @@ from .contacts import (
     _integer,
     _list,
     _number,
+    _object,
     generate_routine_trace,
     load_contact_trace,
 )
@@ -142,6 +143,7 @@ def _workload_generator(spec: Mapping) -> dict:
 
 def load_experiment_config(raw: Mapping, base_dir: Path | str = ".") -> ExperimentConfig:
     base = Path(base_dir)
+    raw = _object("plan", raw)
 
     unknown = sorted(set(raw) - set(_PLAN_KEYS) - set(_SAMPLE_KEYS) - set(_SETTINGS))
     if unknown:

@@ -48,7 +48,6 @@ class SocialLedger:
         self.damping = float(damping)
         self.tct = np.zeros((n, n, t))
         self.ad = np.zeros((n, n, t))
-        self.rolls = [0] * t  # completed days per sample index
         self.clock = 0  # linear index of the open slot
         self.current_sample = 0  # its sample index
         self.neighbors: list[set[int]] = [set() for _ in range(n)]  # met in the open slot
@@ -99,10 +98,11 @@ class SocialLedger:
         pairs with zero contact time.
         """
         i = self.current_sample
-        j = self.rolls[i] + 1
+        # the open slot is day `clock // t` of its sample, so that sample has
+        # closed as many days before it; this roll closes one more
+        j = self.clock // self.cfg.samples_per_day + 1
         self.ad[:, :, i] = (self.tct[:, :, i] + (j - 1) * self.ad[:, :, i]) / j
         self.tct[:, :, i] = 0.0
-        self.rolls[i] = j
         self.clock += 1
         self.current_sample = self.clock % self.cfg.samples_per_day
         for met in self.neighbors:

@@ -100,6 +100,15 @@ def test_run_rejects_bad_inputs_at_load(tmp_path, capsys, key, value, path):
 
 
 
+@pytest.mark.parametrize("text", ["5", '"abc"', "[]", "null"])
+def test_run_rejects_a_plan_that_is_not_an_object(tmp_path, capsys, text):
+    cfg_path = tmp_path / "plan.json"
+    cfg_path.write_text(text)
+    # main returns, so nothing escaped as a traceback
+    assert main(["run", "--config", str(cfg_path)]) == EXIT_USAGE
+    assert "config error: plan: expected a JSON object" in capsys.readouterr().err
+
+
 def write_late_trace_plan(tmp_path: Path, window) -> Path:
     # a 3-node trace whose first contact starts on day 3, so the run's
     # epoch is 259,200 s

@@ -89,7 +89,16 @@ def test_buffer_admit_evicts_oldest_until_fit():
     assert ok
     assert [m.row for m in evicted] == [0]
     assert node.occupancy == 2_000_000
-    assert not node.holds(0) and node.holds(20)
+    assert 0 not in node.buffer and 20 in node.buffer
+
+
+def test_add_rejects_a_row_it_buffers():
+    node = _node()
+    node.add(_msg(3, 100_000))
+    with pytest.raises(ValueError, match="duplicate message m00003 in buffer of node 0"):
+        node.add(_msg(3, 100_000, created=5.0))
+    assert list(node.buffer) == [3] and node.ordered == [node.buffer[3]]
+    assert node.occupancy == 100_000
 
 
 def test_buffer_admit_newest_first_policy():
@@ -239,6 +248,17 @@ def test_residual_copies_expire_after_delivery():
     assert rm.avg_cost == 2.0
 
 
+def test_expiry_logs_holders_in_node_id_order():
+    # the copies are made in descending node order (2 gets it first, then 1,
+    # then 0), the destination 3 is never met, and expiry still logs 0, 1, 2
+    trace = trace_of([(1, 2, 100.0, 200.0), (0, 1, 300.0, 400.0)], node_count=4)
+    log = run_simulation(simple_cfg(trace, entries((0.0, 2, 3, 1000)), ttl=7200.0))
+    copies = [(r.node, r.peer) for r in kinds(log, KIND_REPLICATED)]
+    assert copies == [(2, 1), (1, 0)]
+    expired = kinds(log, KIND_EXPIRED)
+    assert [(r.node, r.time) for r in expired] == [(0, 7200.0), (1, 7200.0), (2, 7200.0)]
+
+
 def test_finite_bandwidth_run():
     trace = trace_of([(0, 1, 0.0, 2.0)])
     workload = entries((0.0, 0, 1, 1000), (0.0, 0, 1, 100_000))
@@ -307,6 +327,12 @@ def test_startup_validation():
         Simulation(simple_cfg(trace, entries((0.0, 0, 5, 1000))))
     with pytest.raises(SimStartupError, match="exceeds buffer capacity"):
         Simulation(simple_cfg(trace, entries((0.0, 0, 1, 3_000_000))))
+    same_ends = entries((0.0, 0, 1, 1000), (0.0, 1, 1, 1000))
+    with pytest.raises(SimStartupError, match="row 1: source and destination are both node 1"):
+        Simulation(simple_cfg(trace, same_ends))
+    for size in (0, -5):
+        with pytest.raises(SimStartupError, match=f"workload row 0: size {size} must be > 0"):
+            Simulation(simple_cfg(trace, entries((0.0, 0, 1, size))))
     with pytest.raises(SimStartupError, match="router"):
         Simulation(simple_cfg(trace, (), router="flooding"))
     with pytest.raises(SimStartupError, match="k must"):

@@ -104,6 +104,14 @@ def test_config_validation_field_paths():
         load_experiment_config(cfg, ".")
 
 
+@pytest.mark.parametrize("raw", [5, "abc", [], None])
+def test_loader_rejects_a_plan_that_is_not_an_object(raw):
+    with pytest.raises(ConfigError) as err:
+        load_experiment_config(raw, ".")
+    assert err.value.field_path == "plan"
+    assert "expected a JSON object" in str(err.value)
+
+
 @pytest.mark.parametrize("knob", ["familiar_threshold", "centrality_window", "recompute_interval"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
 def test_knobs_must_be_finite_and_positive(knob, value):

@@ -73,7 +73,7 @@ def test_roll_examples():
     led.record_contact_fragment(0, 1, 4, 200.0)
     led.roll_sample()
     assert led.ad[0, 1, 0] == 150.0  # (200 + 1*100) / 2
-    assert led.rolls[0] == 2
+    assert led.clock == 5
 
 
 def test_zero_contact_days_decay_and_zero_fixed_point():
@@ -84,7 +84,7 @@ def test_zero_contact_days_decay_and_zero_fixed_point():
             led.roll_sample()
     # three zero-contact days still advance the average: 400 over 4 days
     assert led.ad[0, 1, 0] == pytest.approx(100.0, rel=1e-12)
-    assert led.rolls[0] == 4
+    assert led.clock == 16
     assert led.ad[0, 2, 0] == 0.0  # never met: zero forever
 
 
