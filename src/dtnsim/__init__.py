@@ -20,6 +20,7 @@ from .contacts import (
 )
 from .engine import (
     BANDWIDTH_WIFI_11MBPS,
+    CsvFormatter,
     EventLog,
     LogRecord,
     NodeRuntime,
@@ -35,6 +36,7 @@ from .metrics import (
     AggregateMetrics,
     MetricSummary,
     MetricsError,
+    MetricsFold,
     RunMetrics,
     aggregate_runs,
     compute_run_metrics,

@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .contacts import ContactEvent, ContactTrace, SampleConfig, split_contact_by_samples
 from .ledger import SocialLedger
@@ -57,8 +57,9 @@ KIND_DELETED_COMMUNITY = "deleted_community_rule"
 KIND_ABORTED = "transfer_aborted"
 
 EVENT_LOG_CSV_HEADER = "time,kind,msg,node,peer,size"
-# records per piece of `EventLog.csv_chunks`: a writer holds one piece of the
-# text at a time, not the whole log's
+# records per list that `Simulation.run` hands to its sink, and per piece of
+# `EventLog.csv_chunks`: a writer holds that many records and their text at a
+# time, not the whole log's
 CSV_CHUNK_RECORDS = 8192
 
 DROP_POLICIES = ("oldest_first", "newest_first")
@@ -103,6 +104,31 @@ class LogRecord(NamedTuple):
     size: int | None = None
 
 
+class CsvFormatter:
+    """Formats lists of records as `events.csv` rows, one list per call; an
+    absent peer or size is an empty field. Simultaneous records share the
+    engine's time object, so each time object is formatted once per run of
+    them, across calls too. The cache is keyed by identity, as equal times
+    (0.0 and -0.0, 1 and 1.0) may differ in `repr`; it holds the object it
+    keys, so no later one can take its address."""
+
+    __slots__ = ("_last", "_stamp")
+
+    def __init__(self):
+        self._last, self._stamp = object(), ""
+
+    def rows(self, records: Sequence[tuple]) -> str:
+        last, stamp = self._last, self._stamp
+        lines = []
+        append = lines.append
+        for t, k, m, n, p, s in records:
+            if t is not last:
+                last, stamp = t, repr(t)
+            append(f'{stamp},{k},{m},{n},{"" if p is None else p},{"" if s is None else s}\n')
+        self._last, self._stamp = last, stamp
+        return "".join(lines)
+
+
 @dataclass
 class EventLog:
     """Ordered record of everything that happened to messages in one run:
@@ -120,22 +146,11 @@ class EventLog:
 
     def csv_chunks(self, chunk_records: int = CSV_CHUNK_RECORDS) -> Iterator[str]:
         """The CSV text in pieces: the `EVENT_LOG_CSV_HEADER` line, then the
-        rows of up to `chunk_records` records at a time. An absent peer or
-        size is an empty field."""
+        rows of up to `chunk_records` records at a time."""
         yield EVENT_LOG_CSV_HEADER + "\n"
-        records = self.records
-        # simultaneous records share the engine's time object, so each time
-        # object is formatted once per run of them; keyed by identity, as
-        # equal times (0.0 and -0.0, 1 and 1.0) may differ in `repr`
-        last, stamp = object(), ""
+        records, formatter = self.records, CsvFormatter()
         for start in range(0, len(records), chunk_records):
-            lines = []
-            append = lines.append
-            for t, k, m, n, p, s in records[start:start + chunk_records]:
-                if t is not last:
-                    last, stamp = t, repr(t)
-                append(f'{stamp},{k},{m},{n},{"" if p is None else p},{"" if s is None else s}\n')
-            yield "".join(lines)
+            yield formatter.rows(records[start:start + chunk_records])
 
     def to_csv(self) -> str:
         """The whole CSV text: the chunks joined."""
@@ -453,9 +468,18 @@ class Simulation:
         if self.epoch + n * length <= limit:
             self._push(self.epoch + n * length, pri, -1, -1, -1, n)
 
-    def run(self) -> EventLog:
+    def run(self, sink: Callable[[list[tuple]], object] | None = None) -> EventLog:
+        """Process every event and return the log. With a `sink`, the log's
+        records are handed to it as the run goes: a list of at least
+        `CSV_CHUNK_RECORDS` records whenever the log grows that long between
+        two events, and the rest when the run ends. The engine clears the
+        list once the sink returns, so the returned log is empty and a sink
+        that keeps records must copy them."""
         self._seed_events()
         heap = self._heap
+        records = self.log.records
+        # without a sink the log is never cut, so its length never reaches this
+        chunk = CSV_CHUNK_RECORDS if sink is not None else math.inf
         while heap:
             time, pri, a, b, row, extra = heapq.heappop(heap)
             if pri == _PRI_EXPIRE:
@@ -473,6 +497,12 @@ class Simulation:
             else:
                 self._on_contact_start(time, extra)
             self._drain_evals(time)
+            if len(records) >= chunk:
+                sink(records)
+                records.clear()
+        if sink is not None and records:
+            sink(records)
+            records.clear()
         return self.log
 
     def final_ledger(self) -> SocialLedger:

@@ -7,9 +7,10 @@ import json
 import math
 import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .contacts import (
     TRACE_FORMATS,
@@ -24,9 +25,9 @@ from .contacts import (
     generate_routine_trace,
     load_contact_trace,
 )
-from .engine import SimConfig, SimStartupError, run_epoch
+from .engine import EVENT_LOG_CSV_HEADER, CsvFormatter, SimConfig, SimStartupError, run_epoch
 from .ledger import dump_ledgers_csv
-from .metrics import RunMetrics, aggregate_runs, compute_run_metrics, summarize
+from .metrics import MetricsFold, RunMetrics, aggregate_runs, summarize
 from .routing import ROUTER_NAMES
 from .socialgraph import centrality_csv, communities_json
 from .workload import WorkloadEntry, generate_workload, load_workload
@@ -141,6 +142,14 @@ def _workload_generator(spec: Mapping) -> dict:
     return {"count": count, "window": (lo, hi), "size_range": sizes}
 
 
+def _input_file(key: str, path: Path) -> Path:
+    # a directory would pass an exists() test and fail only at the first cell
+    if not path.is_file():
+        reason = "is a directory, not a file" if path.is_dir() else "file not found"
+        raise ConfigError(key, f"{reason}: {path}")
+    return path
+
+
 def load_experiment_config(raw: Mapping, base_dir: Path | str = ".") -> ExperimentConfig:
     base = Path(base_dir)
     raw = _object("plan", raw)
@@ -181,9 +190,7 @@ def load_experiment_config(raw: Mapping, base_dir: Path | str = ".") -> Experime
         valid = ", ".join(TRACE_FORMATS)
         raise ConfigError("trace_format", f"{trace_format!r} is unknown (valid: {valid})")
     if isinstance(trace, str):
-        trace_path = base / trace
-        if not trace_path.exists():
-            raise ConfigError("trace", f"file not found: {trace_path}")
+        trace_path = _input_file("trace", base / trace)
     elif isinstance(trace, Mapping) and "routine" in trace:
         try:
             routine = RoutineSpec.from_dict(trace["routine"])
@@ -197,9 +204,7 @@ def load_experiment_config(raw: Mapping, base_dir: Path | str = ".") -> Experime
     workload = _require(raw, "workload", "")
     workload_path = workload_gen = None
     if isinstance(workload, str):
-        workload_path = base / workload
-        if not workload_path.exists():
-            raise ConfigError("workload", f"file not found: {workload_path}")
+        workload_path = _input_file("workload", base / workload)
     elif isinstance(workload, Mapping) and "count" in workload:
         workload_gen = _workload_generator(workload)
     else:
@@ -268,13 +273,15 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _write_whole(path: Path, chunks: Iterable[str]) -> None:
-    """Write the text `chunks` to `path` whole or not at all: into
-    `<path>.tmp`, renamed onto `path` once every chunk is written."""
+@contextmanager
+def _write_whole(path: Path) -> Iterator[TextIO]:
+    """Write `path` whole or not at all: the block writes to `<path>.tmp`,
+    which is renamed onto `path` when the block ends and unlinked when it
+    raises."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         with tmp.open("w") as f:
-            f.writelines(chunks)
+            yield f
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
@@ -300,20 +307,29 @@ def _run_cell(args) -> tuple[str, float, int, RunMetrics]:
         replace(cfg.sim, trace=trace, workload=workload, router=router, ttl=ttl),
         keep_ledger=dump_ledgers,
     )
-    log = sim.run()
     cell = cfg.out_dir / cell_dir_name(router, ttl, seed)
     cell.mkdir(parents=True, exist_ok=True)
-    _write_whole(cell / "events.csv", log.csv_chunks())
+    fold, formatter = MetricsFold(), CsvFormatter()
+    with _write_whole(cell / "events.csv") as f:
+        f.write(EVENT_LOG_CSV_HEADER + "\n")
+
+        def sink(records: list[tuple]) -> None:
+            f.write(formatter.rows(records))
+            fold.add(records)
+
+        sim.run(sink)
     if dump_ledgers:
         pair_csv, imp_csv = dump_ledgers_csv(sim.final_ledger())
-        _write_whole(cell / "ledger_pairs.csv", [pair_csv])
-        _write_whole(cell / "ledger_importance.csv", [imp_csv])
-        _write_whole(cell / "communities.json", [communities_json(sim.communities)])
-        _write_whole(
-            cell / "centrality.csv",
-            [centrality_csv(sim.centralities, sim.communities, trace.node_count)],
-        )
-    return router, ttl, seed, compute_run_metrics(log)
+        dumps = {
+            "ledger_pairs.csv": pair_csv,
+            "ledger_importance.csv": imp_csv,
+            "communities.json": communities_json(sim.communities),
+            "centrality.csv": centrality_csv(sim.centralities, sim.communities, trace.node_count),
+        }
+        for name, text in dumps.items():
+            with _write_whole(cell / name) as f:
+                f.write(text)
+    return router, ttl, seed, fold.metrics()
 
 
 def _run_cells_in_pool(tasks: Iterable, jobs: int) -> list[tuple[str, float, int, RunMetrics]]:
@@ -352,7 +368,8 @@ def run_experiment(
             f"{router},{ttl!r},{seed},{_fmt(rm.delivery_probability)},{_fmt(rm.avg_cost)},{_fmt(rm.avg_latency)}"
         )
     results_path = cfg.out_dir / "results.csv"
-    _write_whole(results_path, ["\n".join(results_lines) + "\n"])
+    with _write_whole(results_path) as f:
+        f.write("\n".join(results_lines) + "\n")
 
     aggregate_lines = [AGGREGATE_HEADER]
     for router in cfg.routers:
@@ -367,7 +384,8 @@ def run_experiment(
                     cols += [_fmt(summary.mean), _fmt(summary.ci_half_width)]
             aggregate_lines.append(",".join(cols))
     aggregate_path = cfg.out_dir / "aggregate.csv"
-    _write_whole(aggregate_path, ["\n".join(aggregate_lines) + "\n"])
+    with _write_whole(aggregate_path) as f:
+        f.write("\n".join(aggregate_lines) + "\n")
     return results_path, aggregate_path
 
 

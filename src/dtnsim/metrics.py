@@ -14,21 +14,6 @@ class MetricsError(ValueError):
     """A metric summary was asked of zero values."""
 
 
-def _scan(log: Iterable[tuple]) -> tuple[dict[str, float], dict[str, float], int]:
-    created: dict[str, float] = {}
-    first_delivery: dict[str, float] = {}
-    replications = 0
-    for time, kind, msg, _, _, _ in log:
-        if kind == KIND_CREATED:
-            created[msg] = time
-        elif kind == KIND_REPLICATED:
-            replications += 1
-        elif kind == KIND_DELIVERED:
-            if msg not in first_delivery:
-                first_delivery[msg] = time
-    return created, first_delivery, replications
-
-
 @dataclass(frozen=True)
 class RunMetrics:
     """One run's results; cost and latency are None when nothing was delivered."""
@@ -38,21 +23,52 @@ class RunMetrics:
     avg_latency: float | None
 
 
+class MetricsFold:
+    """`compute_run_metrics` folded over a log one list of records at a time
+    (records in `LogRecord` field order), so that a run's metrics need not
+    wait for its whole log: `add` each list in log order, then read
+    `metrics()`."""
+
+    def __init__(self):
+        self.created: dict[str, float] = {}
+        self.first_delivery: dict[str, float] = {}
+        self.replications = 0
+
+    def add(self, records: Iterable[tuple]) -> None:
+        created, first_delivery = self.created, self.first_delivery
+        replications = 0
+        for time, kind, msg, _, _, _ in records:
+            if kind == KIND_CREATED:
+                created[msg] = time
+            elif kind == KIND_REPLICATED:
+                replications += 1
+            elif kind == KIND_DELIVERED:
+                if msg not in first_delivery:
+                    first_delivery[msg] = time
+        self.replications += replications
+
+    def metrics(self) -> RunMetrics:
+        created, delivered = self.created, self.first_delivery
+        if not created:
+            return RunMetrics(None, None, None)
+        delivery = len(delivered) / len(created)
+        if not delivered:
+            return RunMetrics(delivery, None, None)
+        cost = self.replications / len(delivered)
+        latency = sum(t - created[msg] for msg, t in delivered.items()) / len(delivered)
+        return RunMetrics(delivery, cost, latency)
+
+
 def compute_run_metrics(log: Iterable[tuple]) -> RunMetrics:
     """Delivery probability: distinct delivered messages over created ones.
     Cost: all replications ever made (delivered or not, the delivered copy
     included) per distinct delivered message. Latency: mean time from
     creation to first delivery, over delivered messages. `log` is any
-    iterable of records in `LogRecord` field order."""
-    created, delivered, replications = _scan(log)
-    if not created:
-        return RunMetrics(None, None, None)
-    delivery = len(delivered) / len(created)
-    if not delivered:
-        return RunMetrics(delivery, None, None)
-    cost = replications / len(delivered)
-    latency = sum(t - created[msg] for msg, t in delivered.items()) / len(delivered)
-    return RunMetrics(delivery, cost, latency)
+    iterable of records in `LogRecord` field order; this is `MetricsFold`
+    over it whole."""
+    fold = MetricsFold()
+    fold.add(log)
+    return fold.metrics()
 
 
 @dataclass(frozen=True)

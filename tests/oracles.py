@@ -445,6 +445,20 @@ def event_log_csv(records):
     return "\n".join(lines) + "\n"
 
 
+def split_at(records, cuts):
+    """`records` cut into consecutive lists at the indices `cuts` (any
+    order; a cut at 0 or at the end gives an empty first or last list)."""
+    bounds = [0, *sorted(cuts), len(records)]
+    return [list(records[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def every_split(records):
+    """Every way to cut `records` into consecutive non-empty lists."""
+    inner = range(1, len(records))
+    for keep in itertools.product((False, True), repeat=len(inner)):
+        yield split_at(records, [i for i, cut in zip(inner, keep) if cut])
+
+
 class FullScanSimulation(Simulation):
     """The engine with a decision path that keeps no state between scans:
     every scan walks the sender's whole buffer in creation order and offers

@@ -67,16 +67,48 @@ def desk_sim_config(trace, workload, router: str, ttl: float, **overrides) -> Si
 GOLDEN_CAPACITY = 200_000
 
 
-def golden_scenario(seed: int = 5):
+GOLDEN_SEED = 5
+GOLDEN_MESSAGES = 200
+GOLDEN_WINDOW = (0.0, 2 * DAY)
+
+
+def golden_spec() -> RoutineSpec:
+    """The routine of the golden scenario: the desk routine at 20 nodes and
+    3 days, with 50 ms background sightings."""
+    return replace(
+        desk_spec(node_count=20, days=3),
+        background=RelationActivity(tuple(range(24)), 0.02, 0.05),
+    )
+
+
+def golden_scenario(seed: int = GOLDEN_SEED):
     """Small desk scenario behind the golden event-log hashes: 20 nodes, 3
     days, 200 messages over the first 2 days. Background sightings last
     50 ms, too short for an 11 Mbps link to carry a message above about
     69 kB, so finite-bandwidth runs abort transfers; with GOLDEN_CAPACITY
     buffers every run evicts."""
-    spec = replace(
-        desk_spec(node_count=20, days=3),
-        background=RelationActivity(tuple(range(24)), 0.02, 0.05),
-    )
+    spec = golden_spec()
     trace = generate_routine_trace(spec, seed)
-    workload = tuple(generate_workload(200, 20, (0.0, 2 * DAY), seed))
+    workload = tuple(generate_workload(GOLDEN_MESSAGES, spec.node_count, GOLDEN_WINDOW, seed))
     return trace, workload
+
+
+def routine_dict(spec: RoutineSpec) -> dict:
+    """`spec` in the form that `RoutineSpec.from_dict` (and a plan's inline
+    `trace.routine`) reads."""
+    activities = {}
+    for name in ("home", "work", "social", "background"):
+        act = getattr(spec, name)
+        if act is not None:
+            activities[name] = {
+                "samples": list(act.samples), "probability": act.probability,
+                "duration": act.duration,
+            }
+    return {
+        "node_count": spec.node_count,
+        "days": spec.days,
+        "samples_per_day": spec.cfg.samples_per_day,
+        "seconds_per_day": spec.cfg.seconds_per_day,
+        "groups": {name: list(getattr(spec, f"{name}_group")) for name in ("home", "work", "social")},
+        "activities": activities,
+    }

@@ -134,6 +134,15 @@ def test_run_rejects_a_workload_window_before_the_epoch(tmp_path, capsys):
     assert not (tmp_path / "res" / "results.csv").exists()
 
 
+def test_run_rejects_a_directory_as_the_trace(tmp_path, capsys):
+    cfg = write_late_trace_plan(tmp_path, [259200, 259300])
+    (tmp_path / "trace.csv").unlink()
+    (tmp_path / "trace.csv").mkdir()
+    assert main(["run", "--config", str(cfg)]) == EXIT_USAGE
+    assert "config error: trace: is a directory" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
 def test_run_accepts_a_workload_window_from_the_epoch(tmp_path):
     cfg = write_late_trace_plan(tmp_path, [259200, 259300])
     assert main(["run", "--config", str(cfg)]) == EXIT_OK

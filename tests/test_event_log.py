@@ -1,6 +1,6 @@
-"""`EventLog.to_csv`, its chunks, and the `events.csv` that a plan cell
-writes from them must hold, byte for byte, what the per-record CSV reference
-serializer writes."""
+"""`EventLog.to_csv`, its chunks, the CSV formatter over any split of a log,
+and the `events.csv` that a plan cell streams from the engine's sink must
+hold, byte for byte, what the per-record CSV reference serializer writes."""
 
 import dataclasses
 import struct
@@ -8,7 +8,8 @@ import struct
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dtnsim import EventLog, LogRecord, Simulation
+from dtnsim import CsvFormatter, EventLog, LogRecord, Simulation
+from dtnsim import engine
 from dtnsim.engine import (
     CSV_CHUNK_RECORDS,
     EVENT_LOG_CSV_HEADER,
@@ -27,7 +28,8 @@ from dtnsim.experiment import (
     run_experiment,
 )
 
-from oracles import event_log_csv
+from oracles import event_log_csv, every_split, split_at
+from scenarios import DAY, GOLDEN_CAPACITY, desk_sim_config, golden_scenario
 
 KINDS = [
     KIND_CREATED,
@@ -108,6 +110,31 @@ def test_time_stamp_cache_matches_the_reference(records, chunk_records):
     chunks = list(EventLog(records).csv_chunks(chunk_records))
     assert "".join(chunks) == event_log_csv(records)
 
+
+def formatted(pieces) -> str:
+    formatter = CsvFormatter()
+    return EVENT_LOG_CSV_HEADER + "\n" + "".join(formatter.rows(p) for p in pieces)
+
+
+@given(runs_of_times(), st.data())
+def test_formatter_over_any_split_matches_the_reference(records, data):
+    # cuts anywhere: inside a run that shares one time object, and between
+    # equal but distinct times
+    cuts = data.draw(st.sets(st.integers(0, len(records))))
+    assert formatted(split_at(records, cuts)) == event_log_csv(records)
+
+
+def test_formatter_over_every_split_of_equal_times():
+    one, one_f, zero, neg_zero, shared = 1, 1.0, 0.0, -0.0, 2.5
+    times = [zero, neg_zero, zero, shared, shared, shared, one, one_f, neg_zero]
+    records = [(t, KIND_CREATED, f"m{i:05d}", i, None, None) for i, t in enumerate(times)]
+    expected = event_log_csv(records)
+    splits = list(every_split(records))
+    assert len(splits) == 2 ** (len(records) - 1)
+    for pieces in splits:
+        assert formatted(pieces) == expected, [len(p) for p in pieces]
+
+
 def test_empty_log():
     assert EventLog().to_csv() == EVENT_LOG_CSV_HEADER + "\n" == event_log_csv([])
     for chunk_records in CHUNK_SIZES:
@@ -115,9 +142,8 @@ def test_empty_log():
 
 
 def test_plan_cell_writes_to_csv(tmp_path, monkeypatch):
-    # small chunks, so that the file is written in many pieces
-    chunks = EventLog.csv_chunks
-    monkeypatch.setattr(EventLog, "csv_chunks", lambda log: chunks(log, 7))
+    # small chunks, so that the engine hands the file many pieces
+    monkeypatch.setattr(engine, "CSV_CHUNK_RECORDS", 7)
     routine = {
         "node_count": 5,
         "days": 1,
@@ -150,3 +176,24 @@ def test_record_shape():
     r = LogRecord(1.5, KIND_EXPIRED, "m00001", 3)
     assert r._fields == ("time", "kind", "msg", "node", "peer", "size")
     assert EventLog([r]).to_csv() == EVENT_LOG_CSV_HEADER + "\n1.5,expired_ttl,m00001,3,,\n"
+
+
+def golden_epidemic_sim() -> Simulation:
+    trace, workload = golden_scenario()
+    return Simulation(
+        desk_sim_config(trace, workload, "epidemic", ttl=DAY, buffer_capacity=GOLDEN_CAPACITY)
+    )
+
+
+def test_sink_receives_the_whole_log_in_order(monkeypatch):
+    chunk = 50
+    monkeypatch.setattr(engine, "CSV_CHUNK_RECORDS", chunk)
+    whole = golden_epidemic_sim().run().records
+    pieces = []
+    sim = golden_epidemic_sim()
+    log = sim.run(lambda records: pieces.append(list(records)))
+    assert len(sim.log) == len(log) == 0
+    assert [r for p in pieces for r in p] == whole
+    assert len(pieces) > 2
+    assert all(len(p) >= chunk for p in pieces[:-1])
+    assert 0 < len(pieces[-1])

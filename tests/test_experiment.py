@@ -11,7 +11,8 @@ import pytest
 from dtnsim import (
     ContactEvent,
     ContactTrace,
-    EventLog,
+    CsvFormatter,
+    MetricsFold,
     SimConfig,
     SimStartupError,
     Simulation,
@@ -19,6 +20,7 @@ from dtnsim import (
     WorkloadEntry,
     serialize_contact_trace,
 )
+from dtnsim import engine
 from dtnsim.experiment import (
     ConfigError,
     ResultRow,
@@ -102,6 +104,16 @@ def test_config_validation_field_paths():
     cfg["ttls"] = []
     with pytest.raises(ConfigError, match="ttls"):
         load_experiment_config(cfg, ".")
+
+
+@pytest.mark.parametrize("key", ["trace", "workload"])
+def test_loader_rejects_a_directory_as_an_input_file(tmp_path, key):
+    (tmp_path / "inputs").mkdir()
+    raw = base_config()
+    raw[key] = "inputs"
+    with pytest.raises(ConfigError, match="is a directory") as err:
+        load_experiment_config(raw, tmp_path)
+    assert err.value.field_path == key
 
 
 @pytest.mark.parametrize("raw", [5, "abc", [], None])
@@ -321,20 +333,48 @@ def test_run_experiment_parallel_matches_serial(tmp_path):
 
 
 def test_cell_failing_mid_write_leaves_no_file(tmp_path, monkeypatch):
-    chunks = EventLog.csv_chunks
+    # the header and one piece of one record reach the file, then the
+    # formatting of the next piece fails
+    monkeypatch.setattr(engine, "CSV_CHUNK_RECORDS", 1)
+    rows = CsvFormatter.rows
+    calls = []
 
-    def failing(log):
-        it = chunks(log, 1)
-        yield next(it)
-        yield next(it)
-        raise OSError("disk full")
+    def failing(formatter, records):
+        calls.append(len(records))
+        if len(calls) > 1:
+            raise OSError("disk full")
+        return rows(formatter, records)
 
-    monkeypatch.setattr(EventLog, "csv_chunks", failing)
+    monkeypatch.setattr(CsvFormatter, "rows", failing)
     cfg = load_experiment_config(base_config(), tmp_path)
     with pytest.raises(OSError, match="disk full"):
         run_experiment(cfg)
     cell = cfg.out_dir / cell_dir_name("epidemic", 86400.0, 1)
     assert list(cell.iterdir()) == []
+    assert not (cfg.out_dir / "results.csv").exists()
+
+
+def test_cell_whose_engine_fails_after_a_write_leaves_no_file(tmp_path, monkeypatch):
+    # a handler raises once the sink has written a piece of the log
+    monkeypatch.setattr(engine, "CSV_CHUNK_RECORDS", 5)
+    written = []
+    add = MetricsFold.add
+    monkeypatch.setattr(MetricsFold, "add", lambda fold, records: (
+        written.append(len(records)), add(fold, records)))
+    start = Simulation._on_contact_start
+
+    def failing(sim, time, index):
+        if written:
+            raise RuntimeError("handler failed")
+        start(sim, time, index)
+
+    monkeypatch.setattr(Simulation, "_on_contact_start", failing)
+    cfg = load_experiment_config(base_config(), tmp_path)
+    with pytest.raises(RuntimeError, match="handler failed"):
+        run_experiment(cfg)
+    assert written
+    cell = cfg.out_dir / cell_dir_name("epidemic", 86400.0, 1)
+    assert list(cell.iterdir()) == []  # neither events.csv nor events.csv.tmp
     assert not (cfg.out_dir / "results.csv").exists()
 
 

@@ -16,10 +16,22 @@ import pytest
 from dtnsim import BANDWIDTH_WIFI_11MBPS as MBPS_11
 from dtnsim import Simulation, run_simulation
 from dtnsim.engine import KIND_ABORTED, KIND_DROPPED
+from dtnsim.experiment import cell_dir_name, load_experiment_config, run_experiment
 from dtnsim.ledger import dump_ledgers_csv
 from dtnsim.socialgraph import centrality_csv, communities_json
 
-from scenarios import DAY, GOLDEN_CAPACITY, desk_sim_config, golden_scenario
+from scenarios import (
+    DAY,
+    GOLDEN_CAPACITY,
+    GOLDEN_MESSAGES,
+    GOLDEN_SEED,
+    GOLDEN_WINDOW,
+    HOUR,
+    desk_sim_config,
+    golden_scenario,
+    golden_spec,
+    routine_dict,
+)
 
 # (router, bandwidth, drop policy) -> events.csv sha256
 GOLDEN = {
@@ -104,6 +116,47 @@ def test_golden_event_log(scenario, router, bandwidth, drop_policy):
     assert KIND_DROPPED in kinds
     assert (KIND_ABORTED in kinds) == (bandwidth is not None)
     assert sha256(log.to_csv()) == GOLDEN[(router, bandwidth, drop_policy)]
+
+
+# the golden cells as plans for `run_experiment`: (bandwidth, drop policy,
+# charge_summaries) -> {router: events.csv sha256}
+GOLDEN_PLANS = {
+    (bandwidth, drop_policy, False): {
+        router: pin for (router, bw, dp), pin in GOLDEN.items()
+        if (bw, dp) == (bandwidth, drop_policy)
+    }
+    for _, bandwidth, drop_policy in GOLDEN
+}
+GOLDEN_PLANS[(MBPS_11, "oldest_first", True)] = GOLDEN_CHARGED
+
+
+@pytest.mark.parametrize("bandwidth,drop_policy,charged", sorted(GOLDEN_PLANS, key=str))
+def test_golden_plan_cells_stream_the_pinned_log(tmp_path, bandwidth, drop_policy, charged):
+    # the same runs as above, through the plan runner, which hands each
+    # piece of the log to the file as the run goes
+    pins = GOLDEN_PLANS[(bandwidth, drop_policy, charged)]
+    raw = {
+        "routers": sorted(pins),
+        "ttls": [DAY],
+        "seeds": [GOLDEN_SEED],
+        "trace": {"routine": routine_dict(golden_spec())},
+        "workload": {"count": GOLDEN_MESSAGES, "window": list(GOLDEN_WINDOW)},
+        "buffer_capacity": GOLDEN_CAPACITY,
+        "bandwidth": bandwidth,
+        "drop_policy": drop_policy,
+        "charge_summaries": charged,
+        # the rest of desk_sim_config
+        "damping": 0.8,
+        "k": 5,
+        "familiar_threshold": 6 * HOUR,
+        "centrality_window": 6 * HOUR,
+        "recompute_interval": 6 * HOUR,
+    }
+    cfg = load_experiment_config(raw, tmp_path)
+    run_experiment(cfg)
+    for router, pin in pins.items():
+        events = cfg.out_dir / cell_dir_name(router, DAY, GOLDEN_SEED) / "events.csv"
+        assert hashlib.sha256(events.read_bytes()).hexdigest() == pin, router
 
 
 @pytest.mark.parametrize("router", sorted(GOLDEN_CHARGED))

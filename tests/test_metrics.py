@@ -2,15 +2,20 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dtnsim import (
     EventLog,
     LogRecord,
+    MetricsFold,
     RunMetrics,
     aggregate_runs,
     compute_run_metrics,
 )
 from dtnsim.metrics import summarize
+
+from oracles import split_at
 
 # published two-sided 95% critical values (t table), used as the independent
 # reference for the scipy-backed implementation
@@ -123,6 +128,31 @@ def test_metrics_pure_under_causal_reordering():
     ]
     reordered = [base[1], base[0], base[2], base[3], base[4]]
     assert compute_run_metrics(log_of(*base)) == compute_run_metrics(log_of(*reordered))
+
+
+MSGS = ["m0", "m1", "m2"]
+log_time = st.floats(-1e9, 1e9) | st.integers(-(10**9), 10**9)
+# after every message's creation, records whose kinds and messages repeat,
+# so that a split falls between a creation and its deliveries, and between
+# a first and a later delivery
+creations = st.tuples(*(st.builds(created, st.just(m), log_time) for m in MSGS))
+later = st.builds(
+    LogRecord,
+    time=log_time,
+    kind=st.sampled_from(["created", "replicated", "delivered", "expired_ttl"]),
+    msg=st.sampled_from(MSGS),
+    node=st.integers(0, 3),
+)
+
+
+@given(creations, st.lists(later, max_size=30), st.data())
+def test_fold_over_any_split_matches_the_whole_log(first, rest, data):
+    records = [*first, *rest]
+    cuts = data.draw(st.sets(st.integers(0, len(records))))
+    fold = MetricsFold()
+    for piece in split_at(records, cuts):
+        fold.add(piece)
+    assert fold.metrics() == compute_run_metrics(records)
 
 
 def test_summarize_examples():
