@@ -28,7 +28,7 @@ from .experiment import (
     parse_results_csv,
     run_experiment,
 )
-from .workload import generate_workload, serialize_workload
+from .workload import DEFAULT_SIZE_RANGE, generate_workload, serialize_workload
 
 EXIT_OK = 0
 EXIT_RUN_FAILURE = 1
@@ -67,8 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gw.add_argument("--nodes", type=int, required=True)
     gw.add_argument("--start", type=float, default=0.0)
     gw.add_argument("--end", type=float, required=True)
-    gw.add_argument("--min-size", type=int, default=1000)
-    gw.add_argument("--max-size", type=int, default=100000)
+    gw.add_argument("--min-size", type=int, default=DEFAULT_SIZE_RANGE[0])
+    gw.add_argument("--max-size", type=int, default=DEFAULT_SIZE_RANGE[1])
     gw.add_argument("--seed", type=int, default=0)
     gw.add_argument("--out", required=True)
 
@@ -82,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     try:
         cfg = load_experiment_config_file(args.config)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.out:
@@ -107,28 +107,24 @@ def _cmd_compare(args) -> int:
         rows_a = parse_results_csv(Path(args.results_a).read_text())
         rows_b = parse_results_csv(Path(args.results_b).read_text())
         comparison = compare_results(rows_a, rows_b, args.router_a, args.router_b)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"compare error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     text = comparison_csv(comparison)
     if args.out:
-        Path(args.out).write_text(text)
-        print(args.out)
-    else:
-        print(text, end="")
+        return _write_outputs("compare", {args.out: text})
+    print(text, end="")
     return EXIT_OK
 
 
 def _cmd_gen_trace(args) -> int:
     try:
         spec = RoutineSpec.from_dict(json.loads(Path(args.spec).read_text()))
-    except (KeyError, ValueError, TypeError, FileNotFoundError) as exc:
+    except (KeyError, ValueError, TypeError, OSError) as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     trace = generate_routine_trace(spec, args.seed)
-    Path(args.out).write_text(serialize_contact_trace(trace))
-    print(args.out)
-    return EXIT_OK
+    return _write_outputs("spec", {args.out: serialize_contact_trace(trace)})
 
 
 def _cmd_gen_workload(args) -> int:
@@ -143,23 +139,33 @@ def _cmd_gen_workload(args) -> int:
     except ValueError as exc:
         print(f"workload error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    Path(args.out).write_text(serialize_workload(entries))
-    print(args.out)
-    return EXIT_OK
+    return _write_outputs("workload", {args.out: serialize_workload(entries)})
 
 
 def _cmd_convert_trace(args) -> int:
     try:
         trace, id_map = load_contact_trace(args.input, args.format)
-    except (TraceFormatError, ValueError, FileNotFoundError) as exc:
+    except (TraceFormatError, ValueError, OSError) as exc:
         print(f"trace error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     out = Path(args.out)
-    out.write_text(serialize_contact_trace(trace))
-    map_path = out.with_suffix(out.suffix + ".nodemap.json")
-    map_path.write_text(json.dumps({str(k): v for k, v in sorted(id_map.items())}, indent=0) + "\n")
-    print(out)
-    print(map_path)
+    id_map_json = json.dumps({str(k): v for k, v in sorted(id_map.items())}, indent=0) + "\n"
+    return _write_outputs("trace", {
+        out: serialize_contact_trace(trace),
+        out.with_suffix(out.suffix + ".nodemap.json"): id_map_json,
+    })
+
+
+def _write_outputs(what: str, texts: dict) -> int:
+    """Write each text to its path, then print the paths; an OSError is a `what` error."""
+    try:
+        for path, text in texts.items():
+            Path(path).write_text(text)
+    except OSError as exc:
+        print(f"{what} error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    for path in texts:
+        print(path)
     return EXIT_OK
 
 

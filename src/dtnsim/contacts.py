@@ -48,6 +48,9 @@ class ContactEvent:
         return (self.node_a, self.node_b)
 
 
+SAMPLE_KEYS = ("samples_per_day", "seconds_per_day")  # SampleConfig's fields
+
+
 @dataclass(frozen=True)
 class SampleConfig:
     """How a day is partitioned into fixed daily samples."""
@@ -91,7 +94,6 @@ class ContactTrace:
 
     events: list[ContactEvent]
     node_count: int
-    duration: float
 
     @classmethod
     def from_events(cls, events: Iterable[ContactEvent], node_count: int | None = None) -> "ContactTrace":
@@ -101,8 +103,7 @@ class ContactTrace:
             node_count = max_id + 1
         elif max_id >= node_count:
             raise ValueError(f"event references node {max_id} >= node_count {node_count}")
-        duration = max((e.end for e in ordered), default=0.0)
-        return cls(ordered, node_count, duration)
+        return cls(ordered, node_count)
 
 
 def _parse_record(fields: Sequence[str], line_no: int) -> tuple[int, int, float, float]:
@@ -273,10 +274,8 @@ class RoutineSpec:
     @classmethod
     def from_dict(cls, d: Mapping) -> "RoutineSpec":
         d = _object("spec", d)
-        cfg = SampleConfig(
-            _integer("samples_per_day", d.get("samples_per_day", 24)),
-            _integer("seconds_per_day", d.get("seconds_per_day", 86400)),
-        )
+        # a key left out keeps SampleConfig's default
+        cfg = SampleConfig(**{key: _integer(key, d[key]) for key in SAMPLE_KEYS if key in d})
         n = _integer("node_count", d["node_count"])
         groups = _object("groups", d.get("groups", {}))
         activities = _object("activities", d.get("activities", {}))

@@ -165,7 +165,7 @@ class SimConfig:
     workload, so a config that exists is valid up to its inputs (those are
     checked when a `Simulation` is built)."""
 
-    trace: ContactTrace = field(default_factory=lambda: ContactTrace([], 0, 0.0))
+    trace: ContactTrace = field(default_factory=lambda: ContactTrace([], 0))
     workload: tuple[WorkloadEntry, ...] = ()
     router: str = "epidemic"
     sample: SampleConfig = field(default_factory=SampleConfig)
@@ -365,7 +365,7 @@ class Simulation:
         self.outbound: list[list[_Direction]] = [[] for _ in range(n)]
         self.communities = CommunityMap.empty()
         self.centralities = CentralityTable.empty(cfg.centrality_window)
-        self._recomputes = 0  # a decision input: each recompute may change every answer
+        self._recomputes = 0  # the last recompute's index, a decision input
         # the contact history that the community recompute reads, kept (as
         # contacts end) only for the routers that recompute
         self.pair_seconds: dict[tuple[int, int], float] = {}
@@ -374,13 +374,10 @@ class Simulation:
             if cfg.router in COMMUNITY_ROUTERS
             else None
         )
-        self.horizon = max(
-            [cfg.trace.duration] + [m.expires_at for m in self.rows] + [self.epoch]
-        )
-        # no decision reads the ledger after the last contact ends, so the
-        # run rolls it only that far (`final_ledger` rolls on to the horizon)
+        # no decision runs after the last contact ends: rolls and recomputes
+        # stop there, and `to_horizon` brings them on to the horizon
         self._last_end = max((ev.end for ev in cfg.trace.events), default=self.epoch)
-        self._rolls_until = min(self.horizon, self._last_end)
+        self.horizon = max([self._last_end] + [m.expires_at for m in self.rows])
         self._heap: list[tuple] = []
         self._evals: deque[_Direction] = deque()
 
@@ -394,8 +391,6 @@ class Simulation:
                 raise SimStartupError(
                     f"contact {index}: times must be finite, got [{ev.start}, {ev.end}]"
                 )
-        if not math.isfinite(trace.duration):
-            raise SimStartupError(f"trace duration must be finite, got {trace.duration}")
         n = trace.node_count
         for row, entry in enumerate(cfg.workload):
             # also rejects an expiry that overflows to inf
@@ -449,23 +444,10 @@ class Simulation:
             self._push_boundary(_PRI_RECOMPUTE, 1)
 
     def _push_boundary(self, pri: int, n: int) -> None:
-        # The n-th roll or recompute, if it falls within its limit. Each
-        # handler pushes its successor, so the heap holds one of each at a
-        # time, however far the horizon lies.
-        cfg = self.cfg
-        if pri == _PRI_ROLL:
-            length, limit = cfg.sample.sample_length, self._rolls_until
-        else:
-            length, limit = cfg.recompute_interval, self.horizon
-            if self.epoch + n * length > self._last_end:
-                # no contact is up after the last one ends, so no decision
-                # reads a later recompute: skip to the last one, whose
-                # communities and centralities the run leaves behind
-                last = int((limit - self.epoch) // length) + 1
-                while last > n and self.epoch + last * length > limit:
-                    last -= 1
-                n = max(n, last)
-        if self.epoch + n * length <= limit:
+        # the n-th roll or recompute, if it falls by the last contact end;
+        # each handler pushes its successor, so the heap holds one of each
+        length = self.cfg.sample.sample_length if pri == _PRI_ROLL else self.cfg.recompute_interval
+        if self.epoch + n * length <= self._last_end:
             self._push(self.epoch + n * length, pri, -1, -1, -1, n)
 
     def run(self, sink: Callable[[list[tuple]], object] | None = None) -> EventLog:
@@ -505,15 +487,21 @@ class Simulation:
             records.clear()
         return self.log
 
-    def final_ledger(self) -> SocialLedger:
-        """The ledger as of the horizon, after `run`: this makes the rolls
-        that the run leaves out after the last contact end."""
-        if self.ledger is None:
-            raise ValueError(f"a {self.cfg.router} run keeps no ledger unless keep_ledger is set")
-        length = self.cfg.sample.sample_length
-        while self.epoch + (self.ledger.clock + 1) * length <= self.horizon:
-            self.ledger.roll_sample()
-        return self.ledger
+    def to_horizon(self) -> None:
+        """After `run`, bring what the dumps read to the horizon: the rolls,
+        and the last recompute by then, that the run leaves out after the
+        last contact end. A second call changes nothing."""
+        epoch, horizon = self.epoch, self.horizon
+        if self.ledger is not None:
+            while epoch + (self.ledger.clock + 1) * self.cfg.sample.sample_length <= horizon:
+                self.ledger.roll_sample()
+        if self.meetings is not None:
+            interval = self.cfg.recompute_interval
+            n = int((horizon - epoch) // interval) + 1
+            while epoch + n * interval > horizon:
+                n -= 1
+            if n > self._recomputes:
+                self._on_recompute(epoch + n * interval, n)
 
     # -- handlers ----------------------------------------------------------
 
@@ -586,7 +574,7 @@ class Simulation:
         # contact ends sort before a recompute at the same instant, so the
         # history holds exactly the contacts ended by `time`
         self._push_boundary(_PRI_RECOMPUTE, n + 1)
-        self._recomputes += 1
+        self._recomputes = n
         graph = build_familiar_graph(self.pair_seconds, self.cfg.familiar_threshold)
         self.communities = k_clique_communities(graph, self.cfg.k)
         self.centralities = self.meetings.centrality(self.communities, time)

@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .contacts import (
+    SAMPLE_KEYS,
     TRACE_FORMATS,
     ConfigError,
     ContactTrace,
@@ -30,7 +31,7 @@ from .ledger import dump_ledgers_csv
 from .metrics import MetricsFold, RunMetrics, aggregate_runs, summarize
 from .routing import ROUTER_NAMES
 from .socialgraph import centrality_csv, communities_json
-from .workload import WorkloadEntry, generate_workload, load_workload
+from .workload import DEFAULT_SIZE_RANGE, WorkloadEntry, generate_workload, load_workload
 
 RESULTS_HEADER = "router,ttl,seed,delivery,cost,latency"
 AGGREGATE_HEADER = (
@@ -107,7 +108,6 @@ _SETTINGS = {
     "drop_policy": _string,
     "charge_summaries": _boolean,
 }
-_SAMPLE_KEYS = ("samples_per_day", "seconds_per_day")  # SampleConfig's fields
 _PLAN_KEYS = ("routers", "ttls", "seeds", "trace", "trace_format", "workload", "out")
 
 
@@ -135,8 +135,8 @@ def _workload_generator(spec: Mapping) -> dict:
     lo, hi = (_number(f"workload.window[{i}]", v) for i, v in enumerate(window))
     if not (math.isfinite(lo) and math.isfinite(hi) and 0 <= lo <= hi):
         raise ConfigError("workload.window", f"expected finite 0 <= start <= end, got {window!r}")
-    sizes = (_integer("workload.min_size", spec.get("min_size", 1000)),
-             _integer("workload.max_size", spec.get("max_size", 100000)))
+    sizes = (_integer("workload.min_size", spec.get("min_size", DEFAULT_SIZE_RANGE[0])),
+             _integer("workload.max_size", spec.get("max_size", DEFAULT_SIZE_RANGE[1])))
     if not 0 < sizes[0] <= sizes[1]:
         raise ConfigError("workload.min_size", f"expected 0 < min_size <= max_size, got {sizes}")
     return {"count": count, "window": (lo, hi), "size_range": sizes}
@@ -154,11 +154,11 @@ def load_experiment_config(raw: Mapping, base_dir: Path | str = ".") -> Experime
     base = Path(base_dir)
     raw = _object("plan", raw)
 
-    unknown = sorted(set(raw) - set(_PLAN_KEYS) - set(_SAMPLE_KEYS) - set(_SETTINGS))
+    unknown = sorted(set(raw) - set(_PLAN_KEYS) - set(SAMPLE_KEYS) - set(_SETTINGS))
     if unknown:
         raise ConfigError(unknown[0], "unknown key")
 
-    grid = {key: _integer(key, raw[key]) for key in _SAMPLE_KEYS if key in raw}
+    grid = {key: _integer(key, raw[key]) for key in SAMPLE_KEYS if key in raw}
     try:
         sample = SampleConfig(**grid)
     except ValueError as exc:  # the message opens with the field at fault
@@ -319,7 +319,8 @@ def _run_cell(args) -> tuple[str, float, int, RunMetrics]:
 
         sim.run(sink)
     if dump_ledgers:
-        pair_csv, imp_csv = dump_ledgers_csv(sim.final_ledger())
+        sim.to_horizon()
+        pair_csv, imp_csv = dump_ledgers_csv(sim.ledger)
         dumps = {
             "ledger_pairs.csv": pair_csv,
             "ledger_importance.csv": imp_csv,

@@ -11,7 +11,8 @@ from .engine import KIND_CREATED, KIND_DELIVERED, KIND_REPLICATED
 
 
 class MetricsError(ValueError):
-    """A metric summary was asked of zero values."""
+    """Metrics were asked of input that has none: a summary of zero values,
+    or a log that delivers a message it never created."""
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,9 @@ class MetricsFold:
 
     def metrics(self) -> RunMetrics:
         created, delivered = self.created, self.first_delivery
+        uncreated = delivered.keys() - created.keys()
+        if uncreated:
+            raise MetricsError(f"message {min(uncreated)} is delivered but never created")
         if not created:
             return RunMetrics(None, None, None)
         delivery = len(delivered) / len(created)

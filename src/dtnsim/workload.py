@@ -10,6 +10,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 WORKLOAD_HEADER = "created_at,source,destination,size_bytes"
+DEFAULT_SIZE_RANGE = (1000, 100000)  # generated message sizes, bytes, inclusive
 
 
 class WorkloadFormatError(ValueError):
@@ -111,7 +112,7 @@ def generate_workload(
     node_count: int,
     window: tuple[float, float],
     seed: int,
-    size_range: tuple[int, int] = (1000, 100000),
+    size_range: tuple[int, int] = DEFAULT_SIZE_RANGE,
 ) -> list[WorkloadEntry]:
     """Random workload: uniform creation times in [window), uniform distinct
     source/destination pairs, sizes uniform over size_range (bytes, inclusive).

@@ -306,6 +306,48 @@ def test_usage_errors(tmp_path):
     assert main(["gen-trace", "--spec", str(tmp_path / "nope.json"), "--out", str(tmp_path / "x")]) == EXIT_USAGE
 
 
+def _path_error_args(tmp_path, case):
+    # the arguments of one command whose input is a directory or whose
+    # output lies in a directory that does not exist
+    spec = write_routine_spec(tmp_path / "routine.json")
+    results = tmp_path / "results.csv"
+    results.write_text("router,ttl,seed,delivery,cost,latency\ndlife,86400.0,1,0.7,22.0,100.0\n")
+    trace = tmp_path / "imote.txt"
+    trace.write_text("3 7 50 80\n")
+    missing = str(tmp_path / "missing" / "x.csv")
+    return {
+        "run --config dir": ["run", "--config", str(tmp_path)],
+        "gen-trace --spec dir": ["gen-trace", "--spec", str(tmp_path), "--out", missing],
+        "compare dir dir": ["compare", str(tmp_path), str(tmp_path)],
+        "convert-trace --in dir": ["convert-trace", "--in", str(tmp_path), "--out", missing],
+        "gen-trace --out missing": ["gen-trace", "--spec", str(spec), "--out", missing],
+        "gen-workload --out missing":
+            ["gen-workload", "--count", "3", "--nodes", "3", "--end", "100", "--out", missing],
+        "convert-trace --out missing": ["convert-trace", "--in", str(trace), "--out", missing],
+        "compare --out missing": ["compare", str(results), str(results), "--out", missing],
+    }[case]
+
+
+@pytest.mark.parametrize("case,prefix", [
+    ("run --config dir", "config error:"),
+    ("gen-trace --spec dir", "spec error:"),
+    ("compare dir dir", "compare error:"),
+    ("convert-trace --in dir", "trace error:"),
+    ("gen-trace --out missing", "spec error:"),
+    ("gen-workload --out missing", "workload error:"),
+    ("convert-trace --out missing", "trace error:"),
+    ("compare --out missing", "compare error:"),
+])
+def test_path_errors_are_usage_errors(tmp_path, capsys, case, prefix):
+    # a path that cannot be read or written is reported under the command's
+    # prefix, with no traceback
+    assert main(_path_error_args(tmp_path, case)) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith(prefix)
+    assert captured.out == ""
+    assert not (tmp_path / "missing").exists()
+
+
 def test_environment_sets_no_flag(tmp_path, monkeypatch):
     # a DTNSIM_<FLAG> variable is not read: a malformed one cannot crash the
     # parser, and --config stays required

@@ -32,6 +32,7 @@ from dtnsim.engine import (
 )
 from dtnsim.ledger import dump_ledgers_csv
 from dtnsim.routing import ROUTER_NAMES
+from dtnsim.socialgraph import centrality_csv, communities_json
 from dtnsim.workload import WorkloadEntry
 
 from oracles import earliest_delivery, replay_log, rescan_window_centrality
@@ -317,8 +318,6 @@ def test_ledger_built_for_charged_summaries_and_dumps():
     assert Simulation(replace(plain, charge_summaries=True)).ledger is None
     charged = replace(plain, charge_summaries=True, bandwidth=8000.0)
     assert Simulation(charged).ledger is not None
-    with pytest.raises(ValueError, match="keeps no ledger"):
-        Simulation(plain).final_ledger()
 
 
 def test_startup_validation():
@@ -356,7 +355,6 @@ def test_startup_validation():
     (dict(workload=entries((1.7e308, 0, 1, 1000)), ttl=1.7e308), "no finite expiry"),
     (dict(trace=trace_of([(0, 1, 0.0, math.inf)])), "contact 0: times must be finite"),
     (dict(trace=trace_of([(0, 1, -math.inf, 10.0)])), "contact 0: times must be finite"),
-    (dict(trace=ContactTrace([ContactEvent(0, 1, 0.0, 10.0)], 2, math.inf)), "duration"),
 ])
 def test_startup_rejects_non_finite_times(overrides, match):
     # construction only: run() on such a config would never reach its horizon
@@ -440,12 +438,13 @@ def test_rolls_and_recomputes_are_pushed_one_at_a_time():
 
 def test_recomputes_after_the_last_contact_skip_to_the_horizon():
     # one message expiring about 11 years after the only contact: no
-    # decision runs after the contact ends, so only the last recompute before
-    # the horizon is made, and it leaves what the full chain leaves
+    # decision runs after the contact ends, so the run makes no recompute,
+    # and `to_horizon` makes only the last one before the horizon, which
+    # leaves what the full chain leaves
     trace = trace_of([(0, 1, 100.0, 200.0)])
     cfg = simple_cfg(trace, entries((3.6e8, 0, 1, 500)), router="bubblerap")
     sim, chained = Simulation(cfg), Simulation(cfg)
-    chained._last_end = math.inf  # the whole chain, one recompute a day
+    chained._last_end = chained.horizon  # the whole chain, one recompute a day
     times = []
     recompute = sim._on_recompute
 
@@ -455,6 +454,9 @@ def test_recomputes_after_the_last_contact_skip_to_the_horizon():
 
     sim._on_recompute = record
     assert sim.run().records == chained.run().records
+    assert times == []
+    sim.to_horizon()
+    chained.to_horizon()
     assert times == [sim.epoch + (sim.horizon - sim.epoch) // DAY * DAY]
     assert (sim.communities, sim.centralities) == (chained.communities, chained.centralities)
     assert sim.centralities.num_windows > 1
@@ -467,7 +469,8 @@ def test_chained_rolls_reach_the_horizon():
         simple_cfg(trace, entries((3.6e4, 0, 1, 500)), router="bubblerap"), keep_ledger=True
     )
     sim.run()
-    assert sim.final_ledger().clock == 34
+    sim.to_horizon()
+    assert sim.ledger.clock == 34
 
 
 def test_ledger_clock_stops_at_the_last_contact_end():
@@ -483,15 +486,29 @@ def test_ledger_clock_stops_at_the_last_contact_end():
     ]
 
 
+def test_a_trace_built_directly_runs_as_one_from_events():
+    # the run reads the end of the trace from its contacts: a trace made
+    # without `from_events` has the same horizon, and the same log
+    events = [ContactEvent(0, 1, 0.0, 100.0), ContactEvent(0, 1, 7000.0, 8000.0)]
+    sims = [
+        Simulation(simple_cfg(trace, entries((0.0, 0, 1, 500)), router="dlife", ttl=3600.0))
+        for trace in (ContactTrace(events, 2), ContactTrace.from_events(events))
+    ]
+    assert sims[0].horizon == sims[1].horizon == 8000.0
+    assert sims[0].run().records == sims[1].run().records
+    assert sims[0].ledger.clock == 2
+
+
 def test_ledger_dump_reaches_the_horizon():
     # the dump of the chained-roll run: sample 0 rolled on days 0 and 1, so
     # the 100 s contact averages 50 s there; ten more hourly rolls on day 1.
-    # The run stops rolling at the contact's end; the dump rolls on.
+    # The run stops rolling at the contact's end; `to_horizon` rolls on.
     trace = trace_of([(0, 1, 100.0, 200.0)])
     sim = Simulation(simple_cfg(trace, entries((3.6e4, 0, 1, 500)), router="dlife"))
     assert len(sim.run()) == 2
     assert sim.ledger.clock == 0
-    pair_csv, imp_csv = dump_ledgers_csv(sim.final_ledger())
+    sim.to_horizon()
+    pair_csv, imp_csv = dump_ledgers_csv(sim.ledger)
     assert sim.ledger.clock == 34
     assert pair_csv.splitlines()[1] == "0,1,0,50.0,50.0"
     assert hashlib.sha256(pair_csv.encode()).hexdigest() == (
@@ -516,6 +533,7 @@ def test_bubblerap_centralities_match_rescan_of_ended_contacts():
 
     sim._on_recompute = record
     sim.run()
+    sim.to_horizon()
     interval = sim.cfg.recompute_interval
     assert times == [sim.epoch + n * interval for n in range(1, len(times) + 1)]
     assert times[-1] + interval > sim.horizon
@@ -524,6 +542,75 @@ def test_bubblerap_centralities_match_rescan_of_ended_contacts():
         ended, sim.cfg.centrality_window, sim.communities, now=times[-1], epoch=sim.epoch
     )
     assert sim.centralities.num_windows > 1 and sim.communities.communities
+
+
+def golden_run_past_the_last_contact(router):
+    # TTL 4 days: the golden scenario's horizon lies days past its last contact
+    trace, workload = golden_scenario()
+    cfg = desk_sim_config(trace, workload, router, 4 * DAY, buffer_capacity=GOLDEN_CAPACITY)
+    return Simulation(cfg, keep_ledger=True)
+
+
+@pytest.mark.parametrize("router", ["bubblerap", "dlife"])
+def test_no_roll_or_recompute_after_the_last_contact(router):
+    sim = golden_run_past_the_last_contact(router)
+    length, interval = sim.cfg.sample.sample_length, sim.cfg.recompute_interval
+    rolls, recomputes = [], []
+    on_roll, on_recompute = sim._on_roll, sim._on_recompute
+
+    def roll(n):
+        rolls.append(sim.epoch + n * length)
+        on_roll(n)
+
+    def recompute(time, n):
+        recomputes.append(time)
+        on_recompute(time, n)
+
+    sim._on_roll, sim._on_recompute = roll, recompute
+    sim.run()
+    last_end = sim._last_end
+    assert sim.horizon > last_end + 2 * DAY
+    # the run rolls up to the last contact end, and no further
+    assert max(rolls) <= last_end < max(rolls) + length
+    if router == "bubblerap":
+        assert max(recomputes) <= last_end < max(recomputes) + interval
+    else:
+        assert recomputes == []
+    # `to_horizon` makes the rest: every roll, and the last recompute
+    del rolls[:], recomputes[:]
+    sim.to_horizon()
+    assert sim.ledger.clock == (sim.horizon - sim.epoch) // length
+    if router == "bubblerap":
+        assert recomputes == [sim.epoch + (sim.horizon - sim.epoch) // interval * interval]
+    else:
+        assert recomputes == []
+
+
+def test_to_horizon_twice_leaves_the_dumps_of_once():
+    sim = golden_run_past_the_last_contact("bubblerap")
+    sim.run()
+    recomputes = []
+    on_recompute = sim._on_recompute
+
+    def recompute(time, n):
+        recomputes.append(time)
+        on_recompute(time, n)
+
+    sim._on_recompute = recompute
+
+    def dumps():
+        sim.to_horizon()
+        return (
+            *dump_ledgers_csv(sim.ledger),
+            communities_json(sim.communities),
+            centrality_csv(sim.centralities, sim.communities, sim.cfg.trace.node_count),
+            sim.ledger.clock,
+        )
+
+    once = dumps()
+    assert len(recomputes) == 1
+    assert dumps() == once
+    assert len(recomputes) == 1
 
 
 def test_a_run_leaves_no_reference_cycle():

@@ -130,29 +130,35 @@ GOLDEN_PLANS = {
 GOLDEN_PLANS[(MBPS_11, "oldest_first", True)] = GOLDEN_CHARGED
 
 
-@pytest.mark.parametrize("bandwidth,drop_policy,charged", sorted(GOLDEN_PLANS, key=str))
-def test_golden_plan_cells_stream_the_pinned_log(tmp_path, bandwidth, drop_policy, charged):
-    # the same runs as above, through the plan runner, which hands each
-    # piece of the log to the file as the run goes
-    pins = GOLDEN_PLANS[(bandwidth, drop_policy, charged)]
+def golden_plan(tmp_path, routers, ttls, **settings):
+    """The golden scenario as a plan for `run_experiment`, with the settings
+    of `desk_sim_config` and GOLDEN_CAPACITY buffers unless overridden."""
     raw = {
-        "routers": sorted(pins),
-        "ttls": [DAY],
+        "routers": sorted(routers),
+        "ttls": list(ttls),
         "seeds": [GOLDEN_SEED],
         "trace": {"routine": routine_dict(golden_spec())},
         "workload": {"count": GOLDEN_MESSAGES, "window": list(GOLDEN_WINDOW)},
         "buffer_capacity": GOLDEN_CAPACITY,
-        "bandwidth": bandwidth,
-        "drop_policy": drop_policy,
-        "charge_summaries": charged,
-        # the rest of desk_sim_config
         "damping": 0.8,
         "k": 5,
         "familiar_threshold": 6 * HOUR,
         "centrality_window": 6 * HOUR,
         "recompute_interval": 6 * HOUR,
+        **settings,
     }
-    cfg = load_experiment_config(raw, tmp_path)
+    return load_experiment_config(raw, tmp_path)
+
+
+@pytest.mark.parametrize("bandwidth,drop_policy,charged", sorted(GOLDEN_PLANS, key=str))
+def test_golden_plan_cells_stream_the_pinned_log(tmp_path, bandwidth, drop_policy, charged):
+    # the same runs as above, through the plan runner, which hands each
+    # piece of the log to the file as the run goes
+    pins = GOLDEN_PLANS[(bandwidth, drop_policy, charged)]
+    cfg = golden_plan(
+        tmp_path, pins, [DAY], bandwidth=bandwidth, drop_policy=drop_policy,
+        charge_summaries=charged,
+    )
     run_experiment(cfg)
     for router, pin in pins.items():
         events = cfg.out_dir / cell_dir_name(router, DAY, GOLDEN_SEED) / "events.csv"
@@ -180,7 +186,8 @@ def test_golden_ledger_dump(scenario):
         desk_sim_config(trace, workload, "dlife", ttl=DAY, buffer_capacity=GOLDEN_CAPACITY)
     )
     sim.run()
-    pair_csv, imp_csv = dump_ledgers_csv(sim.final_ledger())
+    sim.to_horizon()
+    pair_csv, imp_csv = dump_ledgers_csv(sim.ledger)
     assert (sha256(pair_csv), sha256(imp_csv)) == GOLDEN_LEDGER_DUMP
 
 
@@ -192,9 +199,25 @@ def test_golden_social_dump_past_the_last_contact(scenario):
         )
     )
     sim.run()
+    sim.to_horizon()
     assert sim.horizon > max(ev.end for ev in trace.events) + 2 * DAY
     dumps = (
         communities_json(sim.communities),
         centrality_csv(sim.centralities, sim.communities, trace.node_count),
     )
     assert tuple(sha256(d) for d in dumps) == GOLDEN_SOCIAL_DUMP
+
+
+def test_golden_dumps_of_the_plan_runner(tmp_path):
+    # the dumps above, written by `run_experiment`, which brings each cell
+    # to its horizon before its dumps
+    cfg = golden_plan(tmp_path, ["bubblerap", "dlife"], [DAY, 4 * DAY])
+    run_experiment(cfg, dump_ledgers=True)
+
+    def hashes(router, ttl, *names):
+        cell = cfg.out_dir / cell_dir_name(router, ttl, GOLDEN_SEED)
+        return tuple(hashlib.sha256((cell / name).read_bytes()).hexdigest() for name in names)
+
+    assert hashes("dlife", DAY, "ledger_pairs.csv", "ledger_importance.csv") == GOLDEN_LEDGER_DUMP
+    social = hashes("bubblerap", 4 * DAY, "communities.json", "centrality.csv")
+    assert social == GOLDEN_SOCIAL_DUMP

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dtnsim import (
     EventLog,
     LogRecord,
+    MetricsError,
     MetricsFold,
     RunMetrics,
     aggregate_runs,
@@ -116,6 +117,13 @@ def test_compute_run_metrics_handles_undefined():
     assert rm.avg_cost is None and rm.avg_latency is None
     empty = compute_run_metrics(log_of())
     assert empty.delivery_probability is None
+
+
+def test_delivery_of_an_uncreated_message_is_named():
+    # a log cut short, or cut by hand, can deliver a message it never created
+    log = [(0.0, "created", "m0", 0, 1, 5), (0.0, "delivered", "m1", 0, 1, None)]
+    with pytest.raises(MetricsError, match="message m1 is delivered but never created"):
+        compute_run_metrics(log)
 
 
 def test_metrics_pure_under_causal_reordering():
