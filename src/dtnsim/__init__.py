@@ -6,12 +6,12 @@ contact traces, and the delivery/cost/latency evaluation pipeline.
 """
 
 from .contacts import (
+    ConfigError,
     ContactEvent,
     ContactTrace,
     RelationActivity,
     RoutineSpec,
     SampleConfig,
-    TraceFormatError,
     generate_routine_trace,
     load_contact_trace,
     parse_contact_trace,
@@ -25,7 +25,6 @@ from .engine import (
     LogRecord,
     NodeRuntime,
     SimConfig,
-    SimStartupError,
     Simulation,
     buffer_admit,
     run_simulation,

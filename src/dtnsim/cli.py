@@ -14,14 +14,13 @@ from pathlib import Path
 
 from .contacts import (
     TRACE_FORMATS,
+    ConfigError,
     RoutineSpec,
-    TraceFormatError,
     generate_routine_trace,
     load_contact_trace,
     serialize_contact_trace,
 )
 from .experiment import (
-    ConfigError,
     compare_results,
     comparison_csv,
     load_experiment_config_file,
@@ -82,16 +81,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     try:
         cfg = load_experiment_config_file(args.config)
-    except (ConfigError, OSError) as exc:
+        if args.out:
+            cfg = dataclasses.replace(cfg, out_dir=Path(args.out))
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    except (ConfigError, OSError) as exc:  # also an output directory that cannot be made
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.out:
-        cfg = dataclasses.replace(cfg, out_dir=Path(args.out))
     try:
         results_path, aggregate_path = run_experiment(
             cfg, jobs=max(1, args.jobs), dump_ledgers=args.dump_ledgers
         )
-    except ConfigError as exc:  # a check that needs the materialized scenario
+    except ConfigError as exc:  # an input that only a read scenario or a cell shows to be bad
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # a failed cell fails the whole plan
@@ -120,7 +120,7 @@ def _cmd_compare(args) -> int:
 def _cmd_gen_trace(args) -> int:
     try:
         spec = RoutineSpec.from_dict(json.loads(Path(args.spec).read_text()))
-    except (KeyError, ValueError, TypeError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     trace = generate_routine_trace(spec, args.seed)
@@ -145,7 +145,7 @@ def _cmd_gen_workload(args) -> int:
 def _cmd_convert_trace(args) -> int:
     try:
         trace, id_map = load_contact_trace(args.input, args.format)
-    except (TraceFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"trace error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     out = Path(args.out)

@@ -12,12 +12,19 @@ from typing import Iterable, Mapping, Sequence
 CSV_TRACE_HEADER = "a,b,start,end"
 
 
-class TraceFormatError(ValueError):
-    """Malformed trace input; carries the offending 1-based line number."""
+class ConfigError(ValueError):
+    """A bad setting or input. `field` names what is at fault (a config key,
+    `line 3` of a file, `workload row 3`, `contact 5`) and `reason` says what
+    is wrong with it. Both are the exception's args, so it pickles, and it
+    reads `field: reason`."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+    def __init__(self, field: str, reason: str):
+        super().__init__(field, reason)
+        self.field = field
+        self.reason = reason
+
+    def __str__(self) -> str:
+        return f"{self.field}: {self.reason}"
 
 
 @dataclass(frozen=True)
@@ -59,11 +66,10 @@ class SampleConfig:
     seconds_per_day: int = 86400
 
     def __post_init__(self):
-        # each message opens with the field at fault, the key the loader reports
         if self.samples_per_day < 1:
-            raise ValueError("samples_per_day must be >= 1")
+            raise ConfigError("samples_per_day", "must be >= 1")
         if self.seconds_per_day <= 0 or self.seconds_per_day % self.samples_per_day != 0:
-            raise ValueError("seconds_per_day must be a positive multiple of samples_per_day")
+            raise ConfigError("seconds_per_day", "must be a positive multiple of samples_per_day")
 
     @property
     def sample_length(self) -> int:
@@ -111,13 +117,15 @@ def _parse_record(fields: Sequence[str], line_no: int) -> tuple[int, int, float,
         a, b = int(fields[0]), int(fields[1])
         start, end = float(fields[2]), float(fields[3])
     except ValueError as exc:
-        raise TraceFormatError(line_no, f"non-numeric field: {exc}") from None
+        raise ConfigError(f"line {line_no}", f"non-numeric field: {exc}") from None
     if a == b:
-        raise TraceFormatError(line_no, f"self-contact for node {a}")
+        raise ConfigError(f"line {line_no}", f"self-contact for node {a}")
     if not (math.isfinite(start) and math.isfinite(end)):
-        raise TraceFormatError(line_no, f"rejected record: non-finite time in [{start}, {end}]")
+        raise ConfigError(
+            f"line {line_no}", f"rejected record: non-finite time in [{start}, {end}]"
+        )
     if not start < end:
-        raise TraceFormatError(line_no, f"rejected record: start {start} >= end {end}")
+        raise ConfigError(f"line {line_no}", f"rejected record: start {start} >= end {end}")
     return a, b, start, end
 
 
@@ -149,16 +157,18 @@ def parse_contact_trace(text: str | bytes, fmt: str = "csv") -> tuple[ContactTra
                 continue
             fields = stripped.split()
             if len(fields) < 4:
-                raise TraceFormatError(line_no, f"expected 4 fields, got {len(fields)}")
+                raise ConfigError(f"line {line_no}", f"expected 4 fields, got {len(fields)}")
         else:
             if not header_seen:
                 if stripped.lower() != CSV_TRACE_HEADER:
-                    raise TraceFormatError(line_no, f"expected header {CSV_TRACE_HEADER!r}")
+                    raise ConfigError(f"line {line_no}", f"expected header {CSV_TRACE_HEADER!r}")
                 header_seen = True
                 continue
             fields = [f.strip() for f in stripped.split(",")]
             if len(fields) != 4:
-                raise TraceFormatError(line_no, f"expected 4 comma-separated fields, got {len(fields)}")
+                raise ConfigError(
+                    f"line {line_no}", f"expected 4 comma-separated fields, got {len(fields)}"
+                )
         raw.append(_parse_record(fields, line_no))
 
     ids = sorted({a for a, _, _, _ in raw} | {b for _, b, _, _ in raw})
@@ -178,16 +188,14 @@ def load_contact_trace(path: str | Path, fmt: str = "csv") -> tuple[ContactTrace
     return parse_contact_trace(Path(path).read_text(), fmt)
 
 
-class ConfigError(ValueError):
-    """Invalid configuration; the message opens with the offending field."""
-
-    def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
-        self.field_path = path
-
-
 # Readers of JSON values: each returns the type the program takes or names
 # the key it rejects. A JSON boolean is an int to Python, so it is excluded.
+
+
+def _require(d: Mapping, key: str, path: str):
+    if key not in d:
+        raise ConfigError(f"{path}.{key}" if path else key, "missing required field")
+    return d[key]
 
 
 def _number(key: str, value) -> float:
@@ -230,9 +238,9 @@ class RelationActivity:
 
     def __post_init__(self):
         if not 0.0 <= self.probability <= 1.0:
-            raise ValueError(f"probability {self.probability} outside [0, 1]")
+            raise ConfigError("probability", f"{self.probability} outside [0, 1]")
         if not (math.isfinite(self.duration) and self.duration > 0):
-            raise ValueError(f"duration must be finite and > 0, got {self.duration}")
+            raise ConfigError("duration", f"must be finite and > 0, got {self.duration}")
 
 
 _RELATION_KINDS = ("home", "work", "social")
@@ -255,28 +263,28 @@ class RoutineSpec:
     background: RelationActivity | None = None
 
     def __post_init__(self):
-        if self.node_count < 0 or self.days < 0:
-            raise ValueError("node_count and days must be >= 0")
+        for name in ("node_count", "days"):
+            if getattr(self, name) < 0:
+                raise ConfigError(name, "must be >= 0")
         for name in _RELATION_KINDS:
-            groups = getattr(self, f"{name}_group")
-            if len(groups) != self.node_count:
-                raise ValueError(f"{name}_group must list one group per node")
+            if len(getattr(self, f"{name}_group")) != self.node_count:
+                raise ConfigError(f"{name}_group", "must list one group per node")
         for name in (*_RELATION_KINDS, "background"):
             act = getattr(self, name)
             if act is None:
                 continue
             if act.duration > self.cfg.sample_length:
-                raise ValueError(f"{name}: duration {act.duration} exceeds sample length")
+                raise ConfigError(name, f"duration {act.duration} exceeds sample length")
             for s in act.samples:
                 if not 0 <= s < self.cfg.samples_per_day:
-                    raise ValueError(f"{name}: sample index {s} out of range")
+                    raise ConfigError(name, f"sample index {s} out of range")
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "RoutineSpec":
         d = _object("spec", d)
         # a key left out keeps SampleConfig's default
         cfg = SampleConfig(**{key: _integer(key, d[key]) for key in SAMPLE_KEYS if key in d})
-        n = _integer("node_count", d["node_count"])
+        n = _integer("node_count", _require(d, "node_count", ""))
         groups = _object("groups", d.get("groups", {}))
         activities = _object("activities", d.get("activities", {}))
 
@@ -293,16 +301,16 @@ class RoutineSpec:
                 return None
             key = f"activities.{name}"
             val = _object(key, val)
-            samples = _list(f"{key}.samples", val["samples"])
+            samples = _list(f"{key}.samples", _require(val, "samples", key))
             return RelationActivity(
                 tuple(_integer(f"{key}.samples[{i}]", s) for i, s in enumerate(samples)),
-                _number(f"{key}.probability", val["probability"]),
-                _number(f"{key}.duration", val["duration"]),
+                _number(f"{key}.probability", _require(val, "probability", key)),
+                _number(f"{key}.duration", _require(val, "duration", key)),
             )
 
         return cls(
             node_count=n,
-            days=_integer("days", d["days"]),
+            days=_integer("days", _require(d, "days", "")),
             cfg=cfg,
             home_group=group("home"),
             work_group=group("work"),

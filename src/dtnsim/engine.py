@@ -13,7 +13,7 @@ from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .contacts import ContactEvent, ContactTrace, SampleConfig, split_contact_by_samples
+from .contacts import ConfigError, ContactEvent, ContactTrace, SampleConfig, split_contact_by_samples
 from .ledger import SocialLedger
 from .routing import (
     COMMUNITY_ROUTERS,
@@ -79,17 +79,6 @@ def run_epoch(epoch: float | None, trace: ContactTrace, sample: SampleConfig) ->
     if trace.events:
         return (trace.events[0].start // sample.seconds_per_day) * sample.seconds_per_day
     return 0.0
-
-
-class SimStartupError(ValueError):
-    """Configuration inconsistency detected before the run starts. `field`
-    names the `SimConfig` field at fault and `reason` says what is wrong with
-    it; `field` is None for a check that needs the trace or the workload."""
-
-    def __init__(self, reason: str, field: str | None = None):
-        super().__init__(reason if field is None else f"{field} {reason}")
-        self.field = field
-        self.reason = reason
 
 
 class LogRecord(NamedTuple):
@@ -184,30 +173,28 @@ class SimConfig:
     def __post_init__(self):
         # each test is written as `not <valid>`, so that NaN fails it
         if self.router not in ROUTER_NAMES:
-            raise SimStartupError(
-                f"{self.router!r} is unknown (valid: {', '.join(ROUTER_NAMES)})", "router"
+            raise ConfigError(
+                "router", f"{self.router!r} is unknown (valid: {', '.join(ROUTER_NAMES)})"
             )
         for name in ("ttl", "familiar_threshold", "centrality_window", "recompute_interval"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
-                raise SimStartupError(f"must be finite and > 0, got {value}", name)
+                raise ConfigError(name, f"must be finite and > 0, got {value}")
         if not self.buffer_capacity > 0:
-            raise SimStartupError(f"must be > 0, got {self.buffer_capacity}", "buffer_capacity")
+            raise ConfigError("buffer_capacity", f"must be > 0, got {self.buffer_capacity}")
         if self.bandwidth is not None and not self.bandwidth > 0:
-            raise SimStartupError(
-                f"must be > 0 or None for unlimited, got {self.bandwidth}", "bandwidth"
+            raise ConfigError(
+                "bandwidth", f"must be > 0 or None for unlimited, got {self.bandwidth}"
             )
         if not self.k >= 3:
-            raise SimStartupError(f"must be >= 3, got {self.k}", "k")
+            raise ConfigError("k", f"must be >= 3, got {self.k}")
         if not 0.0 <= self.damping <= 1.0:
-            raise SimStartupError(f"must be in [0, 1], got {self.damping}", "damping")
+            raise ConfigError("damping", f"must be in [0, 1], got {self.damping}")
         if self.epoch is not None and not math.isfinite(self.epoch):
-            raise SimStartupError(f"must be finite or None, got {self.epoch}", "epoch")
+            raise ConfigError("epoch", f"must be finite or None, got {self.epoch}")
         if self.drop_policy not in DROP_POLICIES:
-            raise SimStartupError(
-                f"{self.drop_policy!r} is unknown (valid: {', '.join(DROP_POLICIES)})",
-                "drop_policy",
-            )
+            valid = ", ".join(DROP_POLICIES)
+            raise ConfigError("drop_policy", f"{self.drop_policy!r} is unknown (valid: {valid})")
 
 
 class NodeRuntime:
@@ -388,40 +375,40 @@ class Simulation:
         trace = cfg.trace
         for index, ev in enumerate(trace.events):
             if not (math.isfinite(ev.start) and math.isfinite(ev.end)):
-                raise SimStartupError(
-                    f"contact {index}: times must be finite, got [{ev.start}, {ev.end}]"
+                raise ConfigError(
+                    f"contact {index}", f"times must be finite, got [{ev.start}, {ev.end}]"
                 )
         n = trace.node_count
         for row, entry in enumerate(cfg.workload):
             # also rejects an expiry that overflows to inf
             if not math.isfinite(entry.created_at + cfg.ttl):
-                raise SimStartupError(
-                    f"workload row {row}: created_at {entry.created_at} gives no finite expiry"
+                raise ConfigError(
+                    f"workload row {row}", f"created_at {entry.created_at} gives no finite expiry"
                 )
             for end in (entry.source, entry.destination):
                 if not 0 <= end < n:
-                    raise SimStartupError(
-                        f"workload row {row}: node {end} outside trace range 0..{n - 1}"
+                    raise ConfigError(
+                        f"workload row {row}", f"node {end} outside trace range 0..{n - 1}"
                     )
             if entry.source == entry.destination:
-                raise SimStartupError(
-                    f"workload row {row}: source and destination are both node {entry.source}"
+                raise ConfigError(
+                    f"workload row {row}", f"source and destination are both node {entry.source}"
                 )
             if entry.size <= 0:
-                raise SimStartupError(f"workload row {row}: size {entry.size} must be > 0")
+                raise ConfigError(f"workload row {row}", f"size {entry.size} must be > 0")
             if entry.size > cfg.buffer_capacity:
-                raise SimStartupError(
-                    f"workload row {row}: size {entry.size} exceeds buffer capacity"
+                raise ConfigError(
+                    f"workload row {row}", f"size {entry.size} exceeds buffer capacity"
                 )
 
     def _resolve_epoch(self) -> float:
         cfg = self.cfg
         epoch = run_epoch(cfg.epoch, cfg.trace, cfg.sample)
         if cfg.trace.events and cfg.trace.events[0].start < epoch:
-            raise SimStartupError("epoch must not be after the first contact")
+            raise ConfigError("epoch", "must not be after the first contact")
         for row, entry in enumerate(cfg.workload):
             if entry.created_at < epoch:
-                raise SimStartupError(f"workload row {row}: created before epoch {epoch}")
+                raise ConfigError(f"workload row {row}", f"created before epoch {epoch}")
         return epoch
 
     # -- event queue ------------------------------------------------------

@@ -23,10 +23,11 @@ from .contacts import (
     _list,
     _number,
     _object,
+    _require,
     generate_routine_trace,
     load_contact_trace,
 )
-from .engine import EVENT_LOG_CSV_HEADER, CsvFormatter, SimConfig, SimStartupError, run_epoch
+from .engine import EVENT_LOG_CSV_HEADER, CsvFormatter, SimConfig, run_epoch
 from .ledger import dump_ledgers_csv
 from .metrics import MetricsFold, RunMetrics, aggregate_runs, summarize
 from .routing import ROUTER_NAMES
@@ -65,12 +66,6 @@ class ExperimentConfig:
     def buffer_capacity(self) -> int:
         # read by the benchmark's output checks (bench/checks.py, check_plan)
         return self.sim.buffer_capacity
-
-
-def _require(d: Mapping, key: str, path: str):
-    if key not in d:
-        raise ConfigError(f"{path}.{key}" if path else key, "missing required field")
-    return d[key]
 
 
 # zero-config sweep: all routers, TTLs of 1/2/4 days and 1/3 weeks, ten seeds
@@ -158,19 +153,11 @@ def load_experiment_config(raw: Mapping, base_dir: Path | str = ".") -> Experime
     if unknown:
         raise ConfigError(unknown[0], "unknown key")
 
-    grid = {key: _integer(key, raw[key]) for key in SAMPLE_KEYS if key in raw}
-    try:
-        sample = SampleConfig(**grid)
-    except ValueError as exc:  # the message opens with the field at fault
-        key, _, reason = str(exc).partition(" ")
-        raise ConfigError(key, reason) from None
-    try:
-        sim = SimConfig(
-            sample=sample,
-            **{key: read(key, raw[key]) for key, read in _SETTINGS.items() if key in raw},
-        )
-    except SimStartupError as exc:
-        raise ConfigError(exc.field, exc.reason) from None
+    sample = SampleConfig(**{key: _integer(key, raw[key]) for key in SAMPLE_KEYS if key in raw})
+    sim = SimConfig(
+        sample=sample,
+        **{key: read(key, raw[key]) for key, read in _SETTINGS.items() if key in raw},
+    )
 
     routers = _sweep(raw, "routers", ROUTER_NAMES, _string)
     ttls = _sweep(raw, "ttls", DEFAULT_TTLS, _number)
@@ -180,7 +167,7 @@ def load_experiment_config(raw: Mapping, base_dir: Path | str = ".") -> Experime
         for i, value in enumerate(values):
             try:
                 replace(sim, **{name: value})
-            except SimStartupError as exc:
+            except ConfigError as exc:
                 raise ConfigError(f"{key}[{i}]", exc.reason) from None
 
     trace = _require(raw, "trace", "")
@@ -194,7 +181,7 @@ def load_experiment_config(raw: Mapping, base_dir: Path | str = ".") -> Experime
     elif isinstance(trace, Mapping) and "routine" in trace:
         try:
             routine = RoutineSpec.from_dict(trace["routine"])
-        except (KeyError, ValueError, TypeError) as exc:
+        except ConfigError as exc:
             raise ConfigError("trace.routine", str(exc)) from None
         if routine.cfg != sample:
             raise ConfigError("trace.routine", "routine sample grid must match run sample grid")
@@ -404,17 +391,24 @@ class ResultRow:
 
 
 def parse_results_csv(text: str) -> list[ResultRow]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != RESULTS_HEADER:
+    """The rows of a results CSV; a malformed row, or a second row for one
+    (router, ttl, seed), is a ConfigError that names its line."""
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1] != RESULTS_HEADER:
         raise ValueError(f"expected results header {RESULTS_HEADER!r}")
-    rows = []
-    for ln in lines[1:]:
-        router, ttl, seed, delivery, cost, latency = ln.split(",")
-        opt = lambda s: None if s == "" else float(s)
-        rows.append(
-            ResultRow(router, float(ttl), int(seed), opt(delivery), opt(cost), opt(latency))
-        )
-    return rows
+    opt = lambda s: None if s == "" else float(s)
+    rows: dict[tuple[str, float, int], ResultRow] = {}
+    for line_no, ln in lines[1:]:
+        try:
+            router, ttl, seed, delivery, cost, latency = ln.split(",")
+            row = ResultRow(router, float(ttl), int(seed), opt(delivery), opt(cost), opt(latency))
+        except ValueError as exc:
+            raise ConfigError(f"line {line_no}", f"malformed row: {exc}") from None
+        key = (row.router, row.ttl, row.seed)
+        if key in rows:
+            raise ConfigError(f"line {line_no}", f"repeats the row of {key}")
+        rows[key] = row
+    return list(rows.values())
 
 
 def _select_router(rows: list[ResultRow], router: str | None, label: str) -> str:

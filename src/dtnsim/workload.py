@@ -9,16 +9,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
+from .contacts import ConfigError
+
 WORKLOAD_HEADER = "created_at,source,destination,size_bytes"
 DEFAULT_SIZE_RANGE = (1000, 100000)  # generated message sizes, bytes, inclusive
-
-
-class WorkloadFormatError(ValueError):
-    """Malformed workload input; carries the offending 1-based line number."""
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 class WorkloadEntry(NamedTuple):
@@ -75,23 +69,23 @@ def parse_workload(text: str | bytes) -> list[WorkloadEntry]:
             continue
         if not header_seen:
             if stripped.lower() != WORKLOAD_HEADER:
-                raise WorkloadFormatError(line_no, f"expected header {WORKLOAD_HEADER!r}")
+                raise ConfigError(f"line {line_no}", f"expected header {WORKLOAD_HEADER!r}")
             header_seen = True
             continue
         fields = [f.strip() for f in stripped.split(",")]
         if len(fields) != 4:
-            raise WorkloadFormatError(line_no, f"expected 4 fields, got {len(fields)}")
+            raise ConfigError(f"line {line_no}", f"expected 4 fields, got {len(fields)}")
         try:
             entry = WorkloadEntry(float(fields[0]), int(fields[1]), int(fields[2]), int(fields[3]))
         except ValueError as exc:
-            raise WorkloadFormatError(line_no, f"non-numeric field: {exc}") from None
+            raise ConfigError(f"line {line_no}", f"non-numeric field: {exc}") from None
         if entry.source == entry.destination:
-            raise WorkloadFormatError(line_no, f"source equals destination ({entry.source})")
+            raise ConfigError(f"line {line_no}", f"source equals destination ({entry.source})")
         if entry.size <= 0:
-            raise WorkloadFormatError(line_no, f"size must be > 0, got {entry.size}")
+            raise ConfigError(f"line {line_no}", f"size must be > 0, got {entry.size}")
         if not 0 <= entry.created_at < math.inf:  # also rejects nan
-            raise WorkloadFormatError(
-                line_no, f"created_at must be finite and >= 0, got {entry.created_at}"
+            raise ConfigError(
+                f"line {line_no}", f"created_at must be finite and >= 0, got {entry.created_at}"
             )
         entries.append(entry)
     return entries

@@ -143,6 +143,63 @@ def test_run_rejects_a_directory_as_the_trace(tmp_path, capsys):
     assert not (tmp_path / "res").exists()
 
 
+TRACE_3_NODES = "a,b,start,end\n0,1,0,100\n1,2,200,300\n"
+WORKLOAD_HEADER = "created_at,source,destination,size_bytes\n"
+
+# (trace file, workload file, plan edits, the error they give); every case
+# is a bad input that the loader or a plan cell finds
+BAD_INPUTS = {
+    "self-contact": (
+        "a,b,start,end\n0,1,0,100\n1,1,50,300\n", WORKLOAD_HEADER + "50,0,2,1000\n", {},
+        "line 3: self-contact for node 1",
+    ),
+    "workload source is destination": (
+        TRACE_3_NODES, WORKLOAD_HEADER + "0,0,0,1000\n", {},
+        "line 2: source equals destination (0)",
+    ),
+    "workload node outside trace": (
+        TRACE_3_NODES, WORKLOAD_HEADER + "50,0,7,1000\n", {},
+        "workload row 0: node 7 outside trace range 0..2",
+    ),
+    "workload row beyond buffer": (
+        TRACE_3_NODES, WORKLOAD_HEADER + "50,0,2,1000\n", {"buffer_capacity": 999},
+        "workload row 0: size 1000 exceeds buffer capacity",
+    ),
+    "epoch after first contact": (
+        TRACE_3_NODES, WORKLOAD_HEADER + "50,0,2,1000\n", {"epoch": 20},
+        "epoch: must not be after the first contact",
+    ),
+    "routine without days": (
+        TRACE_3_NODES, WORKLOAD_HEADER + "50,0,2,1000\n",
+        {"trace": {"routine": {"node_count": 3}}},
+        "trace.routine: days: missing required field",
+    ),
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_run_reports_bad_inputs_as_config_errors(tmp_path, capsys, case, jobs):
+    # the error is the same whether a cell runs in this process or in a
+    # worker, which sends it back pickled
+    trace, workload, edits, message = BAD_INPUTS[case]
+    (tmp_path / "trace.csv").write_text(trace)
+    (tmp_path / "workload.csv").write_text(workload)
+    plan = {
+        "routers": ["epidemic"],
+        "ttls": [86400, 172800],
+        "seeds": [1],
+        "trace": "trace.csv",
+        "workload": "workload.csv",
+        "out": "res",
+        **edits,
+    }
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    assert main(["run", "--config", str(tmp_path / "plan.json"), "--jobs", jobs]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "res" / "results.csv").exists()
+
+
 def test_run_accepts_a_workload_window_from_the_epoch(tmp_path):
     cfg = write_late_trace_plan(tmp_path, [259200, 259300])
     assert main(["run", "--config", str(cfg)]) == EXIT_OK
@@ -213,7 +270,7 @@ def test_gen_trace_rejects_nan_duration(tmp_path, capsys):
     spec.write_text(json.dumps(_nan_background(json.loads(spec.read_text()))))  # as NaN
     out = tmp_path / "trace.csv"
     assert main(["gen-trace", "--spec", str(spec), "--out", str(out)]) == EXIT_USAGE
-    assert "spec error: duration must be finite and > 0, got nan" in capsys.readouterr().err
+    assert "spec error: duration: must be finite and > 0, got nan" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -224,7 +281,7 @@ def test_run_rejects_nan_routine_duration_at_load(tmp_path, capsys):
     _nan_background(raw["trace"]["routine"])
     cfg_path.write_text(json.dumps(raw))
     assert main(["run", "--config", str(cfg_path)]) == EXIT_USAGE
-    assert "config error: trace.routine: duration must be finite" in capsys.readouterr().err
+    assert "config error: trace.routine: duration: must be finite" in capsys.readouterr().err
     assert not (tmp_path / "res").exists()
 
 
@@ -236,6 +293,9 @@ MISSHAPEN_SPECS = [
     (lambda s: s["activities"].update(work=5), "activities.work: expected a JSON object"),
     (lambda s: s["activities"]["work"].update(samples=9), "activities.work.samples: expected a list"),
     (lambda s: s["groups"].update(work=1), "groups.work: expected a list"),
+    (lambda s: s.__delitem__("days"), "days: missing required field"),
+    (lambda s: s["activities"]["work"].__delitem__("probability"),
+     "activities.work.probability: missing required field"),
 ]
 MISSHAPEN_IDS = [message.split(":")[0] for _, message in MISSHAPEN_SPECS]
 
@@ -300,6 +360,20 @@ def test_compare_command(tmp_path, capsys):
     assert main(["compare", str(a), str(mismatched)]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("row,message", [
+    ("dlife,86400.0,1,0.6,22.0,100.0", "line 3: repeats the row of ('dlife', 86400.0, 1)"),
+    ("dlife,86400.0,2,0.7", "line 3: malformed row: not enough values to unpack"),
+    ("dlife,86400.0,two,0.7,22.0,100.0", "line 3: malformed row: invalid literal for int()"),
+], ids=["repeated", "short", "non-integer seed"])
+def test_compare_names_the_line_of_a_bad_row(tmp_path, capsys, row, message):
+    a = tmp_path / "a.csv"
+    a.write_text(f"router,ttl,seed,delivery,cost,latency\ndlife,86400.0,1,0.5,22.0,100.0\n{row}\n")
+    assert main(["compare", str(a), str(a)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"compare error: {message}")
+    assert captured.out == ""
+
+
 def test_usage_errors(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == EXIT_USAGE
     assert main([]) == EXIT_USAGE
@@ -315,8 +389,10 @@ def _path_error_args(tmp_path, case):
     trace = tmp_path / "imote.txt"
     trace.write_text("3 7 50 80\n")
     missing = str(tmp_path / "missing" / "x.csv")
+    plan = write_config(tmp_path / "plan.json", "res")
     return {
         "run --config dir": ["run", "--config", str(tmp_path)],
+        "run --out under a file": ["run", "--config", str(plan), "--out", str(results / "res")],
         "gen-trace --spec dir": ["gen-trace", "--spec", str(tmp_path), "--out", missing],
         "compare dir dir": ["compare", str(tmp_path), str(tmp_path)],
         "convert-trace --in dir": ["convert-trace", "--in", str(tmp_path), "--out", missing],
@@ -330,6 +406,7 @@ def _path_error_args(tmp_path, case):
 
 @pytest.mark.parametrize("case,prefix", [
     ("run --config dir", "config error:"),
+    ("run --out under a file", "config error:"),
     ("gen-trace --spec dir", "spec error:"),
     ("compare dir dir", "compare error:"),
     ("convert-trace --in dir", "trace error:"),

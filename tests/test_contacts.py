@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 import random
 
 import pytest
@@ -7,12 +8,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dtnsim import (
+    ConfigError,
     ContactEvent,
     ContactTrace,
     RelationActivity,
     RoutineSpec,
     SampleConfig,
-    TraceFormatError,
     generate_routine_trace,
     parse_contact_trace,
     serialize_contact_trace,
@@ -44,12 +45,23 @@ def test_contact_event_canonical_and_validated():
         ContactEvent(0, 1, 10.0, 10.0)
 
 
+def test_config_error_survives_a_pickle_round_trip():
+    # a plan cell's error comes back from a worker process pickled
+    sent = ConfigError("workload row 3", "size 9 exceeds buffer capacity")
+    err = pickle.loads(pickle.dumps(sent))
+    assert isinstance(err, ConfigError)
+    assert (err.field, err.reason) == ("workload row 3", "size 9 exceeds buffer capacity")
+    assert str(err) == "workload row 3: size 9 exceeds buffer capacity"
+
+
 def test_sample_config_validation():
     assert CFG24.sample_length == 3600
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError) as err:
         SampleConfig(0, 86400)
-    with pytest.raises(ValueError):
+    assert err.value.field == "samples_per_day"
+    with pytest.raises(ConfigError) as err:
         SampleConfig(7, 86400)  # not divisible
+    assert err.value.field == "seconds_per_day"
 
 
 def test_sample_slot_monotone_and_periodic():
@@ -127,16 +139,16 @@ def test_parse_csv_and_haggle():
 
 
 def test_parse_errors_carry_line_numbers():
-    with pytest.raises(TraceFormatError) as err:
+    with pytest.raises(ConfigError) as err:
         parse_contact_trace("a,b,start,end\n1,1,100,200\n", "csv")
-    assert err.value.line_no == 2
-    with pytest.raises(TraceFormatError):
+    assert err.value.field == "line 2"
+    with pytest.raises(ConfigError):
         parse_contact_trace("a,b,start,end\n1,2,300,200\n", "csv")  # start >= end
-    with pytest.raises(TraceFormatError):
+    with pytest.raises(ConfigError):
         parse_contact_trace("a,b,start,end\n1,2,oops,200\n", "csv")
-    with pytest.raises(TraceFormatError):
+    with pytest.raises(ConfigError):
         parse_contact_trace("not,a,header\n", "csv")
-    with pytest.raises(TraceFormatError):
+    with pytest.raises(ConfigError):
         parse_contact_trace("1 2 3\n", "haggle")
 
 
@@ -148,7 +160,7 @@ def test_parse_errors_carry_line_numbers():
 ])
 def test_parse_rejects_non_finite_times(fmt, record):
     header = "a,b,start,end\n" if fmt == "csv" else ""
-    with pytest.raises(TraceFormatError, match="non-finite"):
+    with pytest.raises(ConfigError, match="non-finite"):
         parse_contact_trace(f"{header}{record}\n", fmt)
 
 
@@ -258,20 +270,20 @@ FROM_DICT_ERRORS = [
 def test_routine_spec_from_dict_rejects_non_integral_and_boolean_values(edit, key):
     raw = routine_dict()
     edit(raw)
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(ConfigError) as err:
         RoutineSpec.from_dict(raw)
     assert str(err.value).startswith(f"{key}: expected ")
 
 
 def test_routine_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="probability: 1.5 outside"):
         RelationActivity((0,), 1.5, 100.0)
     for duration in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="duration must be finite and > 0"):
+        with pytest.raises(ConfigError, match="duration: must be finite and > 0"):
             RelationActivity((0,), 0.5, duration)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="work: duration 7200.0 exceeds sample length"):
         _two_node_work_spec(0.5, 7200.0)  # duration beyond the 1 h sample
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="home_group: must list one group per node"):
         RoutineSpec(
             node_count=2,
             days=1,

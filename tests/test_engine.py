@@ -6,13 +6,13 @@ from dataclasses import replace
 import pytest
 
 from dtnsim import (
+    ConfigError,
     ContactEvent,
     ContactTrace,
     LogRecord,
     Message,
     NodeRuntime,
     SimConfig,
-    SimStartupError,
     Simulation,
     SocialLedger,
     buffer_admit,
@@ -322,33 +322,33 @@ def test_ledger_built_for_charged_summaries_and_dumps():
 
 def test_startup_validation():
     trace = trace_of([(0, 1, 0.0, 10.0)])
-    with pytest.raises(SimStartupError, match="outside trace range"):
+    with pytest.raises(ConfigError, match="outside trace range"):
         Simulation(simple_cfg(trace, entries((0.0, 0, 5, 1000))))
-    with pytest.raises(SimStartupError, match="exceeds buffer capacity"):
+    with pytest.raises(ConfigError, match="exceeds buffer capacity"):
         Simulation(simple_cfg(trace, entries((0.0, 0, 1, 3_000_000))))
     same_ends = entries((0.0, 0, 1, 1000), (0.0, 1, 1, 1000))
-    with pytest.raises(SimStartupError, match="row 1: source and destination are both node 1"):
+    with pytest.raises(ConfigError, match="row 1: source and destination are both node 1"):
         Simulation(simple_cfg(trace, same_ends))
     for size in (0, -5):
-        with pytest.raises(SimStartupError, match=f"workload row 0: size {size} must be > 0"):
+        with pytest.raises(ConfigError, match=f"workload row 0: size {size} must be > 0"):
             Simulation(simple_cfg(trace, entries((0.0, 0, 1, size))))
-    with pytest.raises(SimStartupError, match="router"):
+    with pytest.raises(ConfigError, match="router"):
         Simulation(simple_cfg(trace, (), router="flooding"))
-    with pytest.raises(SimStartupError, match="k must"):
+    with pytest.raises(ConfigError, match="k: must"):
         Simulation(simple_cfg(trace, (), k=2))
-    with pytest.raises(SimStartupError, match="damping"):
+    with pytest.raises(ConfigError, match="damping"):
         Simulation(simple_cfg(trace, (), damping=1.5))
-    with pytest.raises(SimStartupError, match="drop_policy"):
+    with pytest.raises(ConfigError, match="drop_policy"):
         Simulation(simple_cfg(trace, entries((0.0, 0, 1, 1000)), drop_policy="bogus"))
     day3 = trace_of([(0, 1, 3 * 86400.0, 3 * 86400 + 100.0)])
-    with pytest.raises(SimStartupError, match="before epoch"):
+    with pytest.raises(ConfigError, match="before epoch"):
         Simulation(simple_cfg(day3, entries((100.0, 0, 1, 1000))))
 
 
 @pytest.mark.parametrize("overrides,match", [
-    (dict(ttl=math.inf), "ttl must be finite"),
-    (dict(ttl=math.nan), "ttl must be finite"),
-    (dict(epoch=-math.inf), "epoch must be finite"),
+    (dict(ttl=math.inf), "ttl: must be finite"),
+    (dict(ttl=math.nan), "ttl: must be finite"),
+    (dict(epoch=-math.inf), "epoch: must be finite"),
     (dict(bandwidth=math.nan), "bandwidth"),
     (dict(workload=entries((math.inf, 0, 1, 1000))), "no finite expiry"),
     (dict(workload=entries((math.nan, 0, 1, 1000))), "no finite expiry"),
@@ -360,7 +360,7 @@ def test_startup_rejects_non_finite_times(overrides, match):
     # construction only: run() on such a config would never reach its horizon
     params = dict(trace=trace_of([(0, 1, 0.0, 10.0)]), workload=entries((0.0, 0, 1, 1000)))
     params.update(overrides)
-    with pytest.raises(SimStartupError, match=match):
+    with pytest.raises(ConfigError, match=match):
         Simulation(simple_cfg(**params))
 
 
@@ -378,7 +378,7 @@ def test_startup_rejects_non_finite_times(overrides, match):
 ])
 def test_sim_config_names_the_field_it_rejects(overrides, field):
     # no trace or workload needed: SimConfig checks its settings when built
-    with pytest.raises(SimStartupError) as err:
+    with pytest.raises(ConfigError) as err:
         SimConfig(**overrides)
     assert err.value.field == field
     assert str(err.value).startswith(field)

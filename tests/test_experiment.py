@@ -9,12 +9,12 @@ from pathlib import Path
 import pytest
 
 from dtnsim import (
+    ConfigError,
     ContactEvent,
     ContactTrace,
     CsvFormatter,
     MetricsFold,
     SimConfig,
-    SimStartupError,
     Simulation,
     SocialLedger,
     WorkloadEntry,
@@ -22,7 +22,6 @@ from dtnsim import (
 )
 from dtnsim import engine
 from dtnsim.experiment import (
-    ConfigError,
     ResultRow,
     cell_dir_name,
     compare_results,
@@ -113,21 +112,21 @@ def test_loader_rejects_a_directory_as_an_input_file(tmp_path, key):
     raw[key] = "inputs"
     with pytest.raises(ConfigError, match="is a directory") as err:
         load_experiment_config(raw, tmp_path)
-    assert err.value.field_path == key
+    assert err.value.field == key
 
 
 @pytest.mark.parametrize("raw", [5, "abc", [], None])
 def test_loader_rejects_a_plan_that_is_not_an_object(raw):
     with pytest.raises(ConfigError) as err:
         load_experiment_config(raw, ".")
-    assert err.value.field_path == "plan"
+    assert err.value.field == "plan"
     assert "expected a JSON object" in str(err.value)
 
 
 @pytest.mark.parametrize("knob", ["familiar_threshold", "centrality_window", "recompute_interval"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
 def test_knobs_must_be_finite_and_positive(knob, value):
-    with pytest.raises(SimStartupError) as err:
+    with pytest.raises(ConfigError) as err:
         SimConfig(**{knob: value})
     assert err.value.field == knob
 
@@ -135,7 +134,7 @@ def test_knobs_must_be_finite_and_positive(knob, value):
     raw[knob] = value
     with pytest.raises(ConfigError) as err:
         load_experiment_config(raw, ".")
-    assert err.value.field_path == knob
+    assert err.value.field == knob
 
 
 @pytest.mark.parametrize("key,value,path", [
@@ -177,21 +176,21 @@ def test_loader_rejects_unknown_keys_and_wrong_types(key, value, path):
     raw[key] = value
     with pytest.raises(ConfigError) as err:
         load_experiment_config(raw, ".")
-    assert err.value.field_path == path
+    assert err.value.field == path
 
 
 @pytest.mark.parametrize("key,value,message", [
     ("node_count", 6.5, "node_count: expected an integer, got 6.5"),
     ("days", True, "days: expected an integer, got True"),
     ("activities", {"work": {"samples": [9], "probability": 0.5, "duration": math.nan}},
-     "duration must be finite and > 0, got nan"),
+     "duration: must be finite and > 0, got nan"),
 ])
 def test_loader_reports_routine_spec_errors(key, value, message):
     raw = base_config()
     raw["trace"]["routine"][key] = value
     with pytest.raises(ConfigError) as err:
         load_experiment_config(raw, ".")
-    assert err.value.field_path == "trace.routine"
+    assert err.value.field == "trace.routine"
     assert str(err.value) == f"trace.routine: {message}"
 
 

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dtnsim import (
+    ConfigError,
     Message,
     WorkloadEntry,
     generate_workload,
@@ -12,7 +13,6 @@ from dtnsim import (
     parse_workload,
     serialize_workload,
 )
-from dtnsim.workload import WorkloadFormatError
 
 
 def test_parse_and_serialize_round_trip():
@@ -23,24 +23,24 @@ def test_parse_and_serialize_round_trip():
 
 
 def test_parse_errors():
-    with pytest.raises(WorkloadFormatError):
+    with pytest.raises(ConfigError):
         parse_workload("bogus header\n")
-    with pytest.raises(WorkloadFormatError) as err:
+    with pytest.raises(ConfigError) as err:
         parse_workload("created_at,source,destination,size_bytes\n1.0,2,2,100\n")
-    assert err.value.line_no == 2
-    with pytest.raises(WorkloadFormatError):
+    assert err.value.field == "line 2"
+    with pytest.raises(ConfigError):
         parse_workload("created_at,source,destination,size_bytes\n1.0,2,3\n")
-    with pytest.raises(WorkloadFormatError):
+    with pytest.raises(ConfigError):
         parse_workload("created_at,source,destination,size_bytes\n1.0,2,3,0\n")
 
 
 @pytest.mark.parametrize("created_at", ["inf", "nan", "-inf", "1e999"])
 def test_parse_rejects_non_finite_created_at(created_at):
-    with pytest.raises(WorkloadFormatError, match="finite") as err:
+    with pytest.raises(ConfigError, match="finite") as err:
         parse_workload(
             f"created_at,source,destination,size_bytes\n1.0,0,1,100\n{created_at},0,1,100\n"
         )
-    assert err.value.line_no == 3
+    assert err.value.field == "line 3"
 
 
 def test_generate_workload_contract():
