@@ -132,6 +132,23 @@ def _parse_record(fields: Sequence[str], line_no: int) -> tuple[int, int, float,
 TRACE_FORMATS = ("csv", "haggle")
 
 
+def decode_utf8(data: str | bytes) -> str:
+    """The text of an input file. Bytes that are not UTF-8 are a
+    `ConfigError` whose field is the line (as `str.splitlines` counts them)
+    that holds the first bad byte."""
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the first bad one decode; "x" stands in for it
+        lines = (data[:exc.start].decode("utf-8") + "x").splitlines()
+        raise ConfigError(
+            f"line {len(lines)}",
+            f"not UTF-8: byte 0x{data[exc.start]:02x} at column {len(lines[-1])}",
+        ) from None
+
+
 def parse_contact_trace(text: str | bytes, fmt: str = "csv") -> tuple[ContactTrace, dict[int, int]]:
     """Parse a contact trace and remap node ids to a dense 0-based range.
 
@@ -140,8 +157,7 @@ def parse_contact_trace(text: str | bytes, fmt: str = "csv") -> tuple[ContactTra
     extra trailing columns tolerated). Returns the canonical trace and the
     original-id -> dense-id mapping.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    text = decode_utf8(text)
     if fmt not in TRACE_FORMATS:
         expected = " or ".join(map(repr, TRACE_FORMATS))
         raise ValueError(f"unknown trace format {fmt!r} (expected {expected})")
@@ -185,7 +201,12 @@ def serialize_contact_trace(trace: ContactTrace) -> str:
 
 
 def load_contact_trace(path: str | Path, fmt: str = "csv") -> tuple[ContactTrace, dict[int, int]]:
-    return parse_contact_trace(Path(path).read_text(), fmt)
+    """`parse_contact_trace` on a file; a parse error's field names the
+    file (`trace <path> line 3`)."""
+    try:
+        return parse_contact_trace(Path(path).read_bytes(), fmt)
+    except ConfigError as exc:
+        raise ConfigError(f"trace {path} {exc.field}", exc.reason) from None
 
 
 # Readers of JSON values: each returns the type the program takes or names

@@ -419,10 +419,13 @@ class Simulation:
         heapq.heappush(self._heap, (time, pri, a, b, row, extra))
 
     def _seed_events(self) -> None:
+        # a contact's end is pushed when the contact starts (every contact
+        # has start < end), so the heap holds only the ends of ongoing
+        # contacts; a heap pops by key, so the order is the same as if every
+        # end were pushed here
         cfg = self.cfg
         for idx, ev in enumerate(cfg.trace.events):
             self._push(ev.start, _PRI_CONTACT_START, ev.node_a, ev.node_b, -1, idx)
-            self._push(ev.end, _PRI_CONTACT_END, ev.node_a, ev.node_b, -1, idx)
         for m in self.rows:
             self._push(m.created_at, _PRI_CREATE, m.source, m.destination, m.row)
         if self.ledger is not None:
@@ -576,6 +579,7 @@ class Simulation:
         ev = self.cfg.trace.events[index]
         oc = _OngoingContact(index, ev, time)
         self.ongoing[index] = oc
+        self._push(ev.end, _PRI_CONTACT_END, ev.node_a, ev.node_b, -1, index)
         for direction in oc.directions:
             insort(self.outbound[direction.src], direction, key=_INDEX_KEY)
         a, b = ev.node_a, ev.node_b

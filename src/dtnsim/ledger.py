@@ -47,7 +47,10 @@ class SocialLedger:
         self.cfg = cfg
         self.damping = float(damping)
         self.tct = np.zeros((n, n, t))
-        self.ad = np.zeros((n, n, t))
+        # the averages are stored sample-major, so that `weights_at` gathers
+        # whole contiguous (N,) rows; `ad[a, b, i]` reads and writes them
+        self._ad_by_sample = np.zeros((n, t, n))
+        self.ad = self._ad_by_sample.transpose(0, 2, 1)
         self.clock = 0  # linear index of the open slot
         self.current_sample = 0  # its sample index
         self.neighbors: list[set[int]] = [set() for _ in range(n)]  # met in the open slot
@@ -126,7 +129,7 @@ class SocialLedger:
         # product adds in the same order and rounds the same (a plain
         # `ad[:, :, order]` copy rounds some sums differently for small N).
         order = (sample_index + np.arange(t)) % t
-        return np.take(self.ad.transpose(0, 2, 1), order, axis=1).transpose(0, 2, 1) @ self._coeff
+        return np.take(self._ad_by_sample, order, axis=1).transpose(0, 2, 1) @ self._coeff
 
     def weights_to_all_neighbors(self, node: int) -> dict[int, float]:
         """The node's current weights toward every known peer (zero-weight

@@ -6,11 +6,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
-
-import networkx as nx
+from typing import TYPE_CHECKING, Mapping
 
 from .contacts import ContactEvent
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def build_familiar_graph(
@@ -18,6 +19,10 @@ def build_familiar_graph(
 ) -> nx.Graph:
     """Every node of a pair as a graph node, and an edge for every pair whose
     cumulative contact time reaches the familiarity threshold."""
+    # networkx loads at the first community recompute, so the runs that
+    # never recompute (dlife, epidemic) never pay for it
+    import networkx as nx
+
     graph = nx.Graph()
     for (a, b), seconds in pair_durations.items():
         if a == b:
@@ -58,6 +63,8 @@ def k_clique_communities(graph: nx.Graph, k: int) -> CommunityMap:
     """Communities as unions of k-cliques reachable through k-1 shared nodes."""
     if k < 3:
         raise ValueError("k must be >= 3")
+    import networkx as nx
+
     communities = nx.community.k_clique_communities(graph, k)
     return CommunityMap(tuple(sorted(communities, key=lambda c: tuple(sorted(c)))))
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .contacts import ConfigError
+from .contacts import ConfigError, decode_utf8
 
 WORKLOAD_HEADER = "created_at,source,destination,size_bytes"
 DEFAULT_SIZE_RANGE = (1000, 100000)  # generated message sizes, bytes, inclusive
@@ -59,8 +59,7 @@ class Message:
 
 
 def parse_workload(text: str | bytes) -> list[WorkloadEntry]:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
+    text = decode_utf8(text)
     entries: list[WorkloadEntry] = []
     header_seen = False
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -98,7 +97,12 @@ def serialize_workload(entries: Sequence[WorkloadEntry]) -> str:
 
 
 def load_workload(path: str | Path) -> list[WorkloadEntry]:
-    return parse_workload(Path(path).read_text())
+    """`parse_workload` on a file; a parse error's field names the file
+    (`workload <path> line 3`)."""
+    try:
+        return parse_workload(Path(path).read_bytes())
+    except ConfigError as exc:
+        raise ConfigError(f"workload {path} {exc.field}", exc.reason) from None
 
 
 def generate_workload(

@@ -7,6 +7,7 @@ the implementation paths they check.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
@@ -33,6 +34,7 @@ from dtnsim.engine import (
     KIND_DROPPED,
     KIND_EXPIRED,
     KIND_REPLICATED,
+    _PRI_CONTACT_END,
 )
 from dtnsim.routing import LEDGER_ROUTERS, CarrierState, PeerSummary, decide
 
@@ -490,6 +492,31 @@ class FullScanSimulation(Simulation):
         decision = decide(self.cfg.router, carrier, peer, self.communities, self.centralities)
         if decision.replicate:
             self._apply_decision(direction, time, decision)
+
+
+class EagerEndsSimulation(Simulation):
+    """The engine with every contact's end pushed on the heap before the run
+    starts, beside its start, instead of when the contact starts. Equal
+    event logs from this and `Simulation` show that pushing an end late
+    changes no event's order."""
+
+    def _seed_events(self):
+        super()._seed_events()
+        for idx, ev in enumerate(self.cfg.trace.events):
+            heapq.heappush(self._heap, (ev.end, _PRI_CONTACT_END, ev.node_a, ev.node_b, -1, idx))
+
+    def _push(self, time, pri, a, b, row, extra=0):
+        if pri != _PRI_CONTACT_END:  # every end is on the heap already
+            super()._push(time, pri, a, b, row, extra)
+
+
+def weights_at_strided(ad, coeff, sample_index):
+    """Every pair's weight at a sample, computed as `SocialLedger.weights_at`
+    was when `ad` was stored pair-major, `(N, N, t)`: each node's block is
+    gathered sample-major through a strided view of it."""
+    t = ad.shape[2]
+    order = (sample_index + np.arange(t)) % t
+    return np.take(ad.transpose(0, 2, 1), order, axis=1).transpose(0, 2, 1) @ coeff
 
 
 def reference_routine_trace(spec: RoutineSpec, seed: int) -> ContactTrace:

@@ -146,16 +146,25 @@ def test_run_rejects_a_directory_as_the_trace(tmp_path, capsys):
 TRACE_3_NODES = "a,b,start,end\n0,1,0,100\n1,2,200,300\n"
 WORKLOAD_HEADER = "created_at,source,destination,size_bytes\n"
 
-# (trace file, workload file, plan edits, the error they give); every case
-# is a bad input that the loader or a plan cell finds
+# (trace file, workload file, plan edits, the error they give, in which
+# `{trace}` and `{workload}` stand for the files' paths); every case is a
+# bad input that the loader or a plan cell finds
 BAD_INPUTS = {
     "self-contact": (
         "a,b,start,end\n0,1,0,100\n1,1,50,300\n", WORKLOAD_HEADER + "50,0,2,1000\n", {},
-        "line 3: self-contact for node 1",
+        "trace {trace} line 3: self-contact for node 1",
+    ),
+    "trace not UTF-8": (
+        b"a,b,start,end\n0,1,0,100\n1,2,200,3\xff0\n", WORKLOAD_HEADER + "50,0,2,1000\n", {},
+        "trace {trace} line 3: not UTF-8: byte 0xff at column 10",
     ),
     "workload source is destination": (
         TRACE_3_NODES, WORKLOAD_HEADER + "0,0,0,1000\n", {},
-        "line 2: source equals destination (0)",
+        "workload {workload} line 2: source equals destination (0)",
+    ),
+    "workload not UTF-8": (  # an empty "\r\n" line counts, as str.splitlines counts it
+        TRACE_3_NODES, WORKLOAD_HEADER.encode() + b"\r\n50,0,\xc3\x28,1000\n", {},
+        "workload {workload} line 3: not UTF-8: byte 0xc3 at column 6",
     ),
     "workload node outside trace": (
         TRACE_3_NODES, WORKLOAD_HEADER + "50,0,7,1000\n", {},
@@ -183,8 +192,9 @@ def test_run_reports_bad_inputs_as_config_errors(tmp_path, capsys, case, jobs):
     # the error is the same whether a cell runs in this process or in a
     # worker, which sends it back pickled
     trace, workload, edits, message = BAD_INPUTS[case]
-    (tmp_path / "trace.csv").write_text(trace)
-    (tmp_path / "workload.csv").write_text(workload)
+    files = {"trace": tmp_path / "trace.csv", "workload": tmp_path / "workload.csv"}
+    for path, text in zip(files.values(), (trace, workload)):
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
     plan = {
         "routers": ["epidemic"],
         "ttls": [86400, 172800],
@@ -196,7 +206,7 @@ def test_run_reports_bad_inputs_as_config_errors(tmp_path, capsys, case, jobs):
     }
     (tmp_path / "plan.json").write_text(json.dumps(plan))
     assert main(["run", "--config", str(tmp_path / "plan.json"), "--jobs", jobs]) == EXIT_USAGE
-    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert capsys.readouterr().err == f"config error: {message.format(**files)}\n"
     assert not (tmp_path / "res" / "results.csv").exists()
 
 
@@ -452,29 +462,42 @@ def test_module_entry_point(tmp_path):
 
 def test_one_seed_run_never_imports_scipy(tmp_path):
     # scipy serves only the confidence interval of an aggregate over two or
-    # more runs; a fresh process that imports the package and runs a
-    # one-seed plan must not load it
+    # more runs, and networkx only the community recompute of dlifecomm and
+    # bubblerap; a fresh process that imports the package and runs a
+    # one-seed epidemic and dlife plan, dumps included, must load neither,
+    # and a bubblerap plan then loads networkx
     write_routine_spec(tmp_path / "routine.json")
-    plan = write_config(tmp_path / "plan.json", "res")
-    raw = json.loads(plan.read_text())
-    plan.write_text(json.dumps(dict(raw, seeds=[1])))
+    raw = json.loads(write_config(tmp_path / "plan.json", "res").read_text())
+    plans = {
+        "plan.json": dict(raw, routers=["epidemic", "dlife"], seeds=[1]),
+        "community.json": dict(raw, routers=["bubblerap"], seeds=[1], out="community"),
+    }
+    for name, plan in plans.items():
+        (tmp_path / name).write_text(json.dumps(plan))
     child = (
         "import sys\n"
         "import dtnsim, dtnsim.cli, dtnsim.experiment\n"
         "from dtnsim.experiment import load_experiment_config_file, run_experiment\n"
         "assert 'scipy' not in sys.modules, 'scipy loaded on import'\n"
-        "run_experiment(load_experiment_config_file(sys.argv[1]))\n"
+        "assert 'networkx' not in sys.modules, 'networkx loaded on import'\n"
+        "run_experiment(load_experiment_config_file(sys.argv[1]), dump_ledgers=True)\n"
         "assert 'scipy' not in sys.modules, 'scipy loaded by a one-seed run'\n"
+        "assert 'networkx' not in sys.modules, 'networkx loaded without a recompute'\n"
+        "run_experiment(load_experiment_config_file(sys.argv[2]))\n"
+        "assert 'networkx' in sys.modules, 'bubblerap recomputed without networkx'\n"
     )
     src = str(Path(dtnsim.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", child, str(plan)],
+        [sys.executable, "-c", child, *(str(tmp_path / name) for name in plans)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0, result.stderr
-    assert (tmp_path / "res" / "aggregate.csv").read_text().splitlines()[1].startswith(
-        "epidemic,86400.0,1,"
+    rows = (tmp_path / "res" / "aggregate.csv").read_text().splitlines()[1:]
+    assert [row.split(",", 1)[0] for row in rows] == ["epidemic", "dlife"]
+    assert (tmp_path / "res" / "dlife_ttl86400_s1" / "ledger_pairs.csv").exists()
+    assert (tmp_path / "community" / "aggregate.csv").read_text().splitlines()[1].startswith(
+        "bubblerap,86400.0,1,"
     )

@@ -4,6 +4,8 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtnsim import (
     ConfigError,
@@ -12,6 +14,7 @@ from dtnsim import (
     LogRecord,
     Message,
     NodeRuntime,
+    SampleConfig,
     SimConfig,
     Simulation,
     SocialLedger,
@@ -35,7 +38,7 @@ from dtnsim.routing import ROUTER_NAMES
 from dtnsim.socialgraph import centrality_csv, communities_json
 from dtnsim.workload import WorkloadEntry
 
-from oracles import earliest_delivery, replay_log, rescan_window_centrality
+from oracles import EagerEndsSimulation, earliest_delivery, replay_log, rescan_window_centrality
 from scenarios import DAY, GOLDEN_CAPACITY, desk_scenario, desk_sim_config, golden_scenario
 
 
@@ -428,12 +431,59 @@ def test_dlifecomm_community_deletion_run():
 
 def test_rolls_and_recomputes_are_pushed_one_at_a_time():
     # one message expiring about 11 years after the only contact: the heap
-    # holds the contact, the creation, one roll and one recompute, not one
-    # roll per hourly sample up to the expiry
+    # holds the contact's start (its end is pushed when it starts), the
+    # creation, and at most one roll and one recompute, not one roll per
+    # hourly sample up to the expiry
     trace = trace_of([(0, 1, 100.0, 200.0)])
     sim = Simulation(simple_cfg(trace, entries((3.6e8, 0, 1, 500)), router="bubblerap"))
     sim._seed_events()
-    assert len(sim._heap) <= 2 * 1 + 1 + 2
+    assert len(sim._heap) <= 1 + 1 + 2
+
+
+@st.composite
+def contact_lists(draw):
+    """Contacts on a coarse grid, so that they start together, one ends as
+    the next starts, and some repeat exactly."""
+    n = draw(st.integers(3, 5))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    at = st.integers(0, 12).map(lambda i: 50.0 * i)
+    length = st.sampled_from([0.001, 50.0, 100.0, 300.0])
+    contacts = [
+        (a, b, start, start + d)
+        for (a, b), start, d in draw(st.lists(st.tuples(pair, at, length), min_size=1, max_size=25))
+    ]
+    contacts += draw(st.lists(st.sampled_from(contacts), max_size=5))
+    contacts += [(b, a, end, end + 50.0) for a, b, _, end in contacts[:3]]
+    workload = [
+        (created, a, b, size)
+        for (a, b), created, size in draw(
+            st.lists(st.tuples(pair, at, st.sampled_from([300, 1500, 100_000])), max_size=20)
+        )
+    ]
+    return n, contacts, workload
+
+
+@pytest.mark.parametrize("bandwidth", [None, BANDWIDTH_WIFI_11MBPS])
+@pytest.mark.parametrize("router", ROUTER_NAMES)
+@settings(max_examples=40, deadline=None)
+@given(case=contact_lists())
+def test_contact_ends_pushed_at_start_keep_the_log(router, bandwidth, case):
+    n, contacts, workload = case
+    cfg = SimConfig(
+        trace=trace_of(contacts, n),
+        workload=entries(*workload),
+        router=router,
+        bandwidth=bandwidth,
+        sample=SampleConfig(4, 400),
+        ttl=400.0,
+        epoch=0.0,
+        buffer_capacity=200_000,
+        k=3,
+        familiar_threshold=50.0,
+        centrality_window=100.0,
+        recompute_interval=150.0,
+    )
+    assert Simulation(cfg).run().to_csv() == EagerEndsSimulation(cfg).run().to_csv()
 
 
 def test_recomputes_after_the_last_contact_skip_to_the_horizon():

@@ -12,13 +12,15 @@ difference then travels through every importance value exchanged later.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dtnsim import SampleConfig, SocialLedger
 
-from oracles import PerNodeLedger
+from oracles import PerNodeLedger, weights_at_strided
 
 duration = st.one_of(
     st.floats(min_value=1e-3, max_value=3600.0),
@@ -83,3 +85,20 @@ def test_table_matches_per_node_ledgers(samples_per_day, data):
                     assert same_importance(
                         table._peer_importance[node][peer], ledger._peer_importance[peer]
                     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_weights_match_the_pair_major_gather(data):
+    # the sample-major store must give the weights, bit for bit, of the
+    # strided gather from a pair-major one, also with fewer nodes than
+    # samples, where a plain pair-major gather rounds differently
+    n = data.draw(st.integers(2, 7), label="nodes")
+    t = data.draw(st.sampled_from([1, 2, 3, 5, 8, 24]), label="samples_per_day")
+    ledger = SocialLedger(n, SampleConfig(t, 86400))
+    averages = st.one_of(st.just(0.0), st.floats(1e-3, 1e5), st.floats(1e5, 1e12))
+    ledger.ad[...] = data.draw(arrays(float, (n, n, t), elements=averages), label="ad")
+    pair_major = np.ascontiguousarray(ledger.ad)
+    for i in range(t):
+        expected = weights_at_strided(pair_major, ledger._coeff, i)
+        assert ledger.weights_at(i).tobytes() == expected.tobytes()
