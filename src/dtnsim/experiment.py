@@ -307,10 +307,15 @@ def _run_cell(args) -> tuple[str, float, int, RunMetrics]:
         sim.run(sink)
     if dump_ledgers:
         sim.to_horizon()
-        pair_csv, imp_csv = dump_ledgers_csv(sim.ledger)
+        # one node's rows at a time, into both files; a failure leaves neither
+        with (
+            _write_whole(cell / "ledger_pairs.csv") as pairs,
+            _write_whole(cell / "ledger_importance.csv") as importance,
+        ):
+            for pair_text, imp_text in dump_ledgers_csv(sim.ledger):
+                pairs.write(pair_text)
+                importance.write(imp_text)
         dumps = {
-            "ledger_pairs.csv": pair_csv,
-            "ledger_importance.csv": imp_csv,
             "communities.json": communities_json(sim.communities),
             "centrality.csv": centrality_csv(sim.centralities, sim.communities, trace.node_count),
         }

@@ -4,9 +4,12 @@ opportunistically updated node importance."""
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .contacts import SampleConfig
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class LedgerOrderingError(RuntimeError):
@@ -19,6 +22,8 @@ def decay_coefficients(samples_per_day: int) -> np.ndarray:
     The current sample gets coefficient 1; it decreases strictly to
     t/(2t-1) for the last upcoming sample.
     """
+    import numpy as np
+
     t = samples_per_day
     return t / (t + np.arange(t, dtype=float))
 
@@ -42,6 +47,10 @@ class SocialLedger:
     def __init__(self, node_count: int, cfg: SampleConfig, damping: float = 0.8):
         if not 0.0 <= damping <= 1.0:
             raise ValueError("damping must be in [0, 1]")
+        # numpy loads with the first ledger, so the runs that build none
+        # (epidemic, bubblerap) never pay for it
+        import numpy as np
+
         n, t = node_count, cfg.samples_per_day
         self.node_count = n
         self.cfg = cfg
@@ -124,6 +133,8 @@ class SocialLedger:
         t = self.cfg.samples_per_day
         if not 0 <= sample_index < t:
             raise ValueError(f"sample index {sample_index} out of range")
+        import numpy as np
+
         # Each node's (N, t) block is copied sample-major, the layout that a
         # per-node `ad[:, order] @ coeff` product reads, so that the batched
         # product adds in the same order and rounds the same (a plain
@@ -180,20 +191,29 @@ class SocialLedger:
         return self._importance[node][self.current_sample if sample_index is None else sample_index]
 
 
-def dump_ledgers_csv(ledger: SocialLedger) -> tuple[str, str]:
-    """Render the debug CSVs: one (node, peer, sample, ad, weight) row per
-    sample for every pair with a nonzero average, and one (node, sample,
-    importance) row per node and sample."""
+def dump_ledgers_csv(ledger: SocialLedger) -> Iterator[tuple[str, str]]:
+    """Render the debug CSVs one node at a time: one (node, peer, sample,
+    ad, weight) row per sample for every pair with a nonzero average, and
+    one (node, sample, importance) row per node and sample.
+
+    Yields `(pairs, importance)` text chunks: the two header lines first,
+    then one chunk per node, so `node_count + 1` in all. Joining each side
+    gives the whole file; no whole-file string is built.
+    """
+    import numpy as np
+
     n, t = ledger.node_count, ledger.cfg.samples_per_day
+    # whole-matrix products, whose rounding the pinned dumps hold
     weights = np.stack([ledger.weights_at(i) for i in range(t)], axis=2)  # [node, peer, sample]
-    pair_lines = ["node,peer,sample,ad,weight"]
-    imp_lines = ["node,sample,importance"]
+    yield "node,peer,sample,ad,weight\n", "node,sample,importance\n"
     for node in range(n):
-        ad, w = ledger.ad[node].tolist(), weights[node].tolist()  # one node's floats at a time
-        for peer in range(n):
-            if peer != node and any(ad[peer]):
-                pair_lines += [
-                    f"{node},{peer},{i},{ad[peer][i]!r},{w[peer][i]!r}" for i in range(t)
-                ]
-        imp_lines += [f"{node},{i},{imp!r}" for i, imp in enumerate(ledger._importance[node])]
-    return "\n".join(pair_lines) + "\n", "\n".join(imp_lines) + "\n"
+        ad = ledger.ad[node]
+        peers = np.flatnonzero(ad.any(axis=1))
+        peers = peers[peers != node].tolist()
+        pair_lines = [
+            f"{node},{peer},{i},{a!r},{w!r}\n"
+            for peer, ad_row, w_row in zip(peers, ad[peers].tolist(), weights[node, peers].tolist())
+            for i, (a, w) in enumerate(zip(ad_row, w_row))
+        ]
+        imp_lines = [f"{node},{i},{imp!r}\n" for i, imp in enumerate(ledger._importance[node])]
+        yield "".join(pair_lines), "".join(imp_lines)

@@ -6,7 +6,11 @@ the whole suite targets a few minutes.
 """
 
 import math
+import multiprocessing
 import random
+import warnings
+from concurrent.futures import ProcessPoolExecutor
+from functools import lru_cache
 
 import pytest
 
@@ -183,23 +187,40 @@ def delivery_latencies(log):
     return latencies
 
 
+def _error_on_runtime_warnings():
+    # pytest's `error::RuntimeWarning` filter does not reach worker processes
+    warnings.simplefilter("error", RuntimeWarning)
+
+
+@lru_cache(maxsize=None)
+def _criterion_4_scenario(seed):
+    return desk_scenario(seed)
+
+
+def _criterion_4_run(task):
+    """One criterion-4 run: its metrics and its per-message delivery
+    latencies, not its log."""
+    router, ttl, seed = task
+    trace, workload = _criterion_4_scenario(seed)
+    log = run_simulation(desk_sim_config(trace, workload, router, ttl=ttl))
+    return compute_run_metrics(log), delivery_latencies(log)
+
+
 @pytest.fixture(scope="module")
 def criterion_4_runs():
-    """The 60 runs behind the directional checks, made once per module:
-    dlife and bubblerap at each TTL over the seeds of the desk-scale routine
-    scenario. Each run keeps its metrics and its per-message delivery
-    latencies, not its log."""
-    scenarios = {seed: desk_scenario(seed) for seed in CRITERION_4_SEEDS}
-    results = {}
-    for router in ("dlife", "bubblerap"):
-        for ttl in CRITERION_4_TTLS:
-            runs = []
-            for seed in CRITERION_4_SEEDS:
-                trace, workload = scenarios[seed]
-                log = run_simulation(desk_sim_config(trace, workload, router, ttl=ttl))
-                runs.append((compute_run_metrics(log), delivery_latencies(log)))
-            results[(router, ttl)] = runs
-    return results
+    """The 60 runs behind the directional checks, made once per module on
+    two processes: dlife and bubblerap at each TTL over the seeds of the
+    desk-scale routine scenario. Each run keeps its metrics and its
+    per-message delivery latencies, not its log."""
+    keys = [(router, ttl) for router in ("dlife", "bubblerap") for ttl in CRITERION_4_TTLS]
+    tasks = [(router, ttl, seed) for router, ttl in keys for seed in CRITERION_4_SEEDS]
+    with ProcessPoolExecutor(
+        max_workers=2,
+        mp_context=multiprocessing.get_context("spawn"),
+        initializer=_error_on_runtime_warnings,
+    ) as pool:
+        runs = iter(pool.map(_criterion_4_run, tasks))
+        return {key: [next(runs) for _ in CRITERION_4_SEEDS] for key in keys}
 
 
 def test_criterion_4_directional_reproduction(criterion_4_runs):

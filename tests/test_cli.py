@@ -462,42 +462,65 @@ def test_module_entry_point(tmp_path):
 
 def test_one_seed_run_never_imports_scipy(tmp_path):
     # scipy serves only the confidence interval of an aggregate over two or
-    # more runs, and networkx only the community recompute of dlifecomm and
-    # bubblerap; a fresh process that imports the package and runs a
-    # one-seed epidemic and dlife plan, dumps included, must load neither,
-    # and a bubblerap plan then loads networkx
+    # more runs, networkx only the community recompute of dlifecomm and
+    # bubblerap, and numpy only the social ledger (dlife, dlifecomm, charged
+    # summaries, dumps). A fresh process that imports the package and runs a
+    # one-seed epidemic plan and then a bubblerap plan must load neither
+    # scipy nor numpy, and networkx only for bubblerap; another that runs a
+    # one-seed epidemic and dlife plan, dumps included, must load neither
+    # scipy nor networkx, and numpy then
     write_routine_spec(tmp_path / "routine.json")
     raw = json.loads(write_config(tmp_path / "plan.json", "res").read_text())
     plans = {
         "plan.json": dict(raw, routers=["epidemic", "dlife"], seeds=[1]),
+        "epidemic.json": dict(raw, seeds=[1], out="epidemic"),
         "community.json": dict(raw, routers=["bubblerap"], seeds=[1], out="community"),
     }
     for name, plan in plans.items():
         (tmp_path / name).write_text(json.dumps(plan))
-    child = (
+    imported = (
         "import sys\n"
         "import dtnsim, dtnsim.cli, dtnsim.experiment\n"
         "from dtnsim.experiment import load_experiment_config_file, run_experiment\n"
         "assert 'scipy' not in sys.modules, 'scipy loaded on import'\n"
         "assert 'networkx' not in sys.modules, 'networkx loaded on import'\n"
+        "assert 'numpy' not in sys.modules, 'numpy loaded on import'\n"
+    )
+    epidemic_then_bubblerap = imported + (
+        "run_experiment(load_experiment_config_file(sys.argv[1]))\n"
+        "assert 'scipy' not in sys.modules, 'scipy loaded by a one-seed run'\n"
+        "assert 'networkx' not in sys.modules, 'networkx loaded by epidemic'\n"
+        "assert 'numpy' not in sys.modules, 'numpy loaded without a ledger'\n"
+        "run_experiment(load_experiment_config_file(sys.argv[2]))\n"
+        "assert 'networkx' in sys.modules, 'bubblerap recomputed without networkx'\n"
+        "assert 'numpy' not in sys.modules, 'numpy loaded by bubblerap'\n"
+    )
+    dlife_with_dumps = imported + (
         "run_experiment(load_experiment_config_file(sys.argv[1]), dump_ledgers=True)\n"
         "assert 'scipy' not in sys.modules, 'scipy loaded by a one-seed run'\n"
         "assert 'networkx' not in sys.modules, 'networkx loaded without a recompute'\n"
-        "run_experiment(load_experiment_config_file(sys.argv[2]))\n"
-        "assert 'networkx' in sys.modules, 'bubblerap recomputed without networkx'\n"
+        "assert 'numpy' in sys.modules, 'dlife kept a ledger without numpy'\n"
     )
     src = str(Path(dtnsim.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", child, *(str(tmp_path / name) for name in plans)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert result.returncode == 0, result.stderr
+    children = [
+        (epidemic_then_bubblerap, ["epidemic.json", "community.json"]),
+        (dlife_with_dumps, ["plan.json"]),
+    ]
+    for child, names in children:
+        result = subprocess.run(
+            [sys.executable, "-c", child, *(str(tmp_path / name) for name in names)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 0, result.stderr
     rows = (tmp_path / "res" / "aggregate.csv").read_text().splitlines()[1:]
     assert [row.split(",", 1)[0] for row in rows] == ["epidemic", "dlife"]
     assert (tmp_path / "res" / "dlife_ttl86400_s1" / "ledger_pairs.csv").exists()
+    assert (tmp_path / "epidemic" / "aggregate.csv").read_text().splitlines()[1].startswith(
+        "epidemic,86400.0,1,"
+    )
     assert (tmp_path / "community" / "aggregate.csv").read_text().splitlines()[1].startswith(
         "bubblerap,86400.0,1,"
     )

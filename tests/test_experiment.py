@@ -377,6 +377,28 @@ def test_cell_whose_engine_fails_after_a_write_leaves_no_file(tmp_path, monkeypa
     assert not (cfg.out_dir / "results.csv").exists()
 
 
+def test_cell_failing_mid_dump_leaves_no_ledger_file(tmp_path, monkeypatch):
+    # the ledger dump writes both of its files at once, one node at a time;
+    # a failure after node 0 leaves neither file and no temporary one
+    from dtnsim import experiment
+
+    dump = experiment.dump_ledgers_csv
+
+    def failing(ledger):
+        chunks = dump(ledger)
+        yield next(chunks)  # the headers
+        yield next(chunks)  # node 0
+        raise OSError("disk full")
+
+    monkeypatch.setattr(experiment, "dump_ledgers_csv", failing)
+    cfg = load_experiment_config(base_config(), tmp_path)
+    with pytest.raises(OSError, match="disk full"):
+        run_experiment(cfg, dump_ledgers=True)
+    cell = cfg.out_dir / cell_dir_name("epidemic", 86400.0, 1)
+    assert [p.name for p in cell.iterdir()] == ["events.csv"]
+    assert not (cfg.out_dir / "results.csv").exists()
+
+
 def test_run_experiment_materializes_each_seed_once(tmp_path, monkeypatch):
     from dtnsim import experiment
 

@@ -187,7 +187,35 @@ def test_golden_ledger_dump(scenario):
     )
     sim.run()
     sim.to_horizon()
-    pair_csv, imp_csv = dump_ledgers_csv(sim.ledger)
+    pair_csv, imp_csv = map("".join, zip(*dump_ledgers_csv(sim.ledger)))
+    assert (sha256(pair_csv), sha256(imp_csv)) == GOLDEN_LEDGER_DUMP
+
+
+def test_golden_ledger_dump_streams_one_node_at_a_time(scenario):
+    # the dump of the charged dlife run: a header chunk, then one chunk per
+    # node, that join to the pinned files (the ledger follows the contacts
+    # alone, so charging summaries to the link leaves it as it is)
+    trace, workload = scenario
+    sim = Simulation(
+        desk_sim_config(
+            trace,
+            workload,
+            "dlife",
+            ttl=DAY,
+            buffer_capacity=GOLDEN_CAPACITY,
+            bandwidth=MBPS_11,
+            charge_summaries=True,
+        )
+    )
+    sim.run()
+    sim.to_horizon()
+    chunks = list(dump_ledgers_csv(sim.ledger))
+    assert len(chunks) == trace.node_count + 1
+    assert chunks[0] == ("node,peer,sample,ad,weight\n", "node,sample,importance\n")
+    for node, texts in enumerate(chunks[1:]):
+        for text in texts:
+            assert all(line.startswith(f"{node},") for line in text.splitlines()), node
+    pair_csv, imp_csv = map("".join, zip(*chunks))
     assert (sha256(pair_csv), sha256(imp_csv)) == GOLDEN_LEDGER_DUMP
 
 

@@ -202,7 +202,7 @@ def test_neighbor_set_resets_on_roll():
 def test_ledger_dump_csv():
     led = _ledger()
     seed_ad(led, {1: [100.0, 0.0, 0.0, 0.0]})
-    pair_csv, imp_csv = dump_ledgers_csv(led)
+    pair_csv, imp_csv = map("".join, zip(*dump_ledgers_csv(led)))
     assert pair_csv.splitlines()[0] == "node,peer,sample,ad,weight"
     assert imp_csv.splitlines()[0] == "node,sample,importance"
     assert any(line.startswith("0,1,0,100.0") for line in pair_csv.splitlines())
