@@ -6,33 +6,28 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import Iterator, Mapping
 
 from .contacts import ContactEvent
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 
 def build_familiar_graph(
     pair_durations: Mapping[tuple[int, int], float], threshold: float
-) -> nx.Graph:
-    """Every node of a pair as a graph node, and an edge for every pair whose
-    cumulative contact time reaches the familiarity threshold."""
-    # networkx loads at the first community recompute, so the runs that
-    # never recompute (dlife, epidemic) never pay for it
-    import networkx as nx
-
-    graph = nx.Graph()
+) -> dict[int, int]:
+    """The familiar graph as node -> neighbour bitmask (bit i for node i):
+    every node of a pair is a key, and a pair whose cumulative contact time
+    reaches the familiarity threshold sets each node's bit in the other's
+    mask. Node ids must be >= 0."""
+    adjacency: dict[int, int] = {}
     for (a, b), seconds in pair_durations.items():
         if a == b:
             raise ValueError(f"self-pair for node {a}")
         if seconds < 0:
             raise ValueError("durations must be >= 0")
-        graph.add_nodes_from((a, b))
-        if seconds >= threshold:
-            graph.add_edge(a, b)
-    return graph
+        familiar = int(seconds >= threshold)
+        adjacency[a] = adjacency.get(a, 0) | (familiar << b)
+        adjacency[b] = adjacency.get(b, 0) | (familiar << a)
+    return adjacency
 
 
 @dataclass(frozen=True)
@@ -59,13 +54,60 @@ class CommunityMap:
         return self._membership.get(node, frozenset())
 
 
-def k_clique_communities(graph: nx.Graph, k: int) -> CommunityMap:
-    """Communities as unions of k-cliques reachable through k-1 shared nodes."""
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _maximal_cliques(adjacency: Mapping[int, int], k: int) -> Iterator[int]:
+    """The maximal cliques of at least k nodes, as bitmasks: Bron-Kerbosch
+    with Tomita pivoting, on an explicit stack so that a clique of any size
+    fits."""
+    # a node in a k-clique has k-1 neighbours at least
+    candidates = sum(1 << n for n, nbrs in adjacency.items() if nbrs.bit_count() >= k - 1)
+    stack = [(0, 0, candidates, 0)]  # (clique, its size, candidates, excluded)
+    while stack:
+        clique, size, cand, excl = stack.pop()
+        if not cand:
+            if not excl and size >= k:
+                yield clique
+            continue
+        if size + cand.bit_count() < k:
+            continue
+        # branch only on the candidates the pivot does not neighbour
+        pivot = max(_bits(cand | excl), key=lambda u: (cand & adjacency[u]).bit_count())
+        for v in _bits(cand & ~adjacency[pivot]):
+            nbrs = adjacency[v]
+            stack.append((clique | (1 << v), size + 1, cand & nbrs, excl & nbrs))
+            cand &= ~(1 << v)
+            excl |= 1 << v
+
+
+def k_clique_communities(adjacency: Mapping[int, int], k: int) -> CommunityMap:
+    """Communities as unions of k-cliques reachable through k-1 shared nodes
+    (clique percolation): maximal cliques of at least k nodes, joined when
+    they share k-1 nodes."""
     if k < 3:
         raise ValueError("k must be >= 3")
-    import networkx as nx
-
-    communities = nx.community.k_clique_communities(graph, k)
+    # each component as (the union of its cliques, its cliques); a clique
+    # that shares fewer than k-1 nodes with the union shares fewer with each
+    # of its cliques, so most components are ruled out by one test
+    components: list[tuple[int, list[int]]] = []
+    for clique in _maximal_cliques(adjacency, k):
+        union, members, apart = clique, [clique], []
+        for comp_union, comp_members in components:
+            if (clique & comp_union).bit_count() >= k - 1 and any(
+                (clique & other).bit_count() >= k - 1 for other in reversed(comp_members)
+            ):
+                union |= comp_union
+                members += comp_members
+            else:
+                apart.append((comp_union, comp_members))
+        apart.append((union, members))
+        components = apart
+    communities = (frozenset(_bits(union)) for union, _ in components)
     return CommunityMap(tuple(sorted(communities, key=lambda c: tuple(sorted(c)))))
 
 

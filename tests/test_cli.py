@@ -462,12 +462,13 @@ def test_module_entry_point(tmp_path):
 
 def test_one_seed_run_never_imports_scipy(tmp_path):
     # scipy serves only the confidence interval of an aggregate over two or
-    # more runs, networkx only the community recompute of dlifecomm and
-    # bubblerap, and numpy only the social ledger (dlife, dlifecomm, charged
-    # summaries, dumps). A fresh process that imports the package and runs a
-    # one-seed epidemic plan and then a bubblerap plan must load neither
-    # scipy nor numpy, and networkx only for bubblerap; another that runs a
-    # one-seed epidemic and dlife plan, dumps included, must load neither
+    # more runs, and numpy only the social ledger (dlife, dlifecomm, charged
+    # summaries, dumps); networkx serves no run, as the community recompute
+    # of dlifecomm and bubblerap has its own clique percolation. A fresh
+    # process that imports the package and, with networkx blocked, runs a
+    # one-seed epidemic plan, a bubblerap plan and a dlifecomm plan must load
+    # no networkx, no scipy, and numpy only for dlifecomm; another that runs
+    # a one-seed epidemic and dlife plan, dumps included, must load neither
     # scipy nor networkx, and numpy then
     write_routine_spec(tmp_path / "routine.json")
     raw = json.loads(write_config(tmp_path / "plan.json", "res").read_text())
@@ -475,6 +476,7 @@ def test_one_seed_run_never_imports_scipy(tmp_path):
         "plan.json": dict(raw, routers=["epidemic", "dlife"], seeds=[1]),
         "epidemic.json": dict(raw, seeds=[1], out="epidemic"),
         "community.json": dict(raw, routers=["bubblerap"], seeds=[1], out="community"),
+        "dlifecomm.json": dict(raw, routers=["dlifecomm"], seeds=[1], out="dlifecomm"),
     }
     for name, plan in plans.items():
         (tmp_path / name).write_text(json.dumps(plan))
@@ -486,14 +488,16 @@ def test_one_seed_run_never_imports_scipy(tmp_path):
         "assert 'networkx' not in sys.modules, 'networkx loaded on import'\n"
         "assert 'numpy' not in sys.modules, 'numpy loaded on import'\n"
     )
-    epidemic_then_bubblerap = imported + (
+    community_without_networkx = imported + (
+        "sys.modules['networkx'] = None  # an import of networkx now fails\n"
         "run_experiment(load_experiment_config_file(sys.argv[1]))\n"
         "assert 'scipy' not in sys.modules, 'scipy loaded by a one-seed run'\n"
-        "assert 'networkx' not in sys.modules, 'networkx loaded by epidemic'\n"
         "assert 'numpy' not in sys.modules, 'numpy loaded without a ledger'\n"
         "run_experiment(load_experiment_config_file(sys.argv[2]))\n"
-        "assert 'networkx' in sys.modules, 'bubblerap recomputed without networkx'\n"
         "assert 'numpy' not in sys.modules, 'numpy loaded by bubblerap'\n"
+        "run_experiment(load_experiment_config_file(sys.argv[3]))\n"
+        "assert 'numpy' in sys.modules, 'dlifecomm kept a ledger without numpy'\n"
+        "assert sys.modules['networkx'] is None, 'networkx loaded'\n"
     )
     dlife_with_dumps = imported + (
         "run_experiment(load_experiment_config_file(sys.argv[1]), dump_ledgers=True)\n"
@@ -504,7 +508,7 @@ def test_one_seed_run_never_imports_scipy(tmp_path):
     src = str(Path(dtnsim.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     children = [
-        (epidemic_then_bubblerap, ["epidemic.json", "community.json"]),
+        (community_without_networkx, ["epidemic.json", "community.json", "dlifecomm.json"]),
         (dlife_with_dumps, ["plan.json"]),
     ]
     for child, names in children:
@@ -523,4 +527,7 @@ def test_one_seed_run_never_imports_scipy(tmp_path):
     )
     assert (tmp_path / "community" / "aggregate.csv").read_text().splitlines()[1].startswith(
         "bubblerap,86400.0,1,"
+    )
+    assert (tmp_path / "dlifecomm" / "aggregate.csv").read_text().splitlines()[1].startswith(
+        "dlifecomm,86400.0,1,"
     )

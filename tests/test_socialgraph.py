@@ -1,23 +1,34 @@
 import itertools
 import random
+import sys
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dtnsim import (
+    BANDWIDTH_WIFI_11MBPS,
     CentralityTable,
     CommunityMap,
     ContactEvent,
     WindowMeetings,
     build_familiar_graph,
+    engine,
     k_clique_communities,
+    run_simulation,
 )
 
 from oracles import (
     clique_percolation_bruteforce,
     cumulative_window_centrality,
     rescan_window_centrality,
+)
+from scenarios import (
+    DAY,
+    GOLDEN_CAPACITY,
+    desk_scenario,
+    desk_sim_config,
+    golden_scenario,
 )
 
 
@@ -27,17 +38,16 @@ def _graph_from_edges(edges):
 
 
 def test_build_familiar_graph_threshold():
+    # node -> neighbour bitmask: the pair above the threshold is an edge, and
+    # the pair below it keeps its nodes, with no edge
     durations = {(0, 1): 100.0, (1, 2): 50.0}
-    g = build_familiar_graph(durations, threshold=60.0)
-    assert g.has_edge(0, 1)
-    assert not g.has_edge(1, 2)
-    assert sorted(g.edges) == [(0, 1)]
-    assert sorted(g.nodes) == [0, 1, 2]  # a pair below the threshold keeps its nodes
-
-    assert sorted(build_familiar_graph(durations, threshold=0.0).edges) == [(0, 1), (1, 2)]
-    assert list(build_familiar_graph(durations, threshold=1e9).edges) == []
-    with pytest.raises(ValueError):
+    assert build_familiar_graph(durations, threshold=60.0) == {0: 0b010, 1: 0b001, 2: 0}
+    assert build_familiar_graph(durations, threshold=0.0) == {0: 0b010, 1: 0b101, 2: 0b010}
+    assert build_familiar_graph(durations, threshold=1e9) == {0: 0, 1: 0, 2: 0}
+    with pytest.raises(ValueError, match="self-pair"):
         build_familiar_graph({(2, 2): 10.0}, threshold=0.0)
+    with pytest.raises(ValueError, match=">= 0"):
+        build_familiar_graph({(0, 1): 10.0, (1, 2): -1.0}, threshold=0.0)
 
 
 def test_kclique_single_clique():
@@ -64,6 +74,38 @@ def test_kclique_triangles_sharing_node_stay_apart():
     assert not cm.communities_of(0) & cm.communities_of(4)
     with pytest.raises(ValueError):
         k_clique_communities(g, 2)
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_kclique_clique_deeper_than_the_recursion_limit():
+    # a recursive enumeration would nest once per clique member
+    limit = _stack_depth() + 50
+    graph = _graph_from_edges(itertools.combinations(range(4 * limit), 2))
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        cm = k_clique_communities(graph, 5)
+    finally:
+        sys.setrecursionlimit(saved)
+    assert cm.communities == (frozenset(range(4 * limit)),)
+
+
+@pytest.mark.parametrize("edges,k", [
+    # an empty graph
+    ([], 3),
+    # a 4-cycle and an edge: no triangle
+    ([(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)], 3),
+    # a 4-clique and a triangle: k above the largest clique
+    (list(itertools.combinations(range(4), 2)) + [(3, 4), (4, 5), (3, 5)], 5),
+])
+def test_kclique_without_a_k_clique_is_empty(edges, k):
+    assert k_clique_communities(_graph_from_edges(edges), k) == CommunityMap.empty()
 
 
 def _random_adjacency(rng, n, p):
@@ -102,6 +144,67 @@ def test_raising_k_refines_communities():
             fine = _communities_for_adj(adj, k + 1).communities
             for community in fine:
                 assert any(community <= big for big in coarse)
+
+
+def _networkx_communities(adjacency, k):
+    # the reference: networkx's clique percolation on the same graph
+    import networkx as nx
+
+    graph = nx.Graph()
+    graph.add_nodes_from(adjacency)
+    graph.add_edges_from(
+        (a, b) for a, nbrs in adjacency.items() for b in range(a) if nbrs >> b & 1
+    )
+    found = nx.community.k_clique_communities(graph, k)
+    return tuple(sorted(found, key=lambda c: tuple(sorted(c))))
+
+
+@st.composite
+def random_familiar_graph(draw):
+    """A familiar graph of up to 60 nodes, every pair drawn above or below
+    the threshold. The density stays at or below 0.4, where networkx's
+    percolation takes well under a second."""
+    n = draw(st.integers(0, 60))
+    density = draw(st.floats(0.0, 0.4))
+    rng = draw(st.randoms(use_true_random=False))
+    durations = {
+        (a, b): 1.0 if rng.random() < density else 0.0
+        for a in range(n) for b in range(a + 1, n)
+    }
+    return build_familiar_graph(durations, threshold=1.0)
+
+
+@settings(deadline=None)
+@given(graph=random_familiar_graph(), k=st.integers(3, 6))
+def test_kclique_matches_networkx(graph, k):
+    assert k_clique_communities(graph, k).communities == _networkx_communities(graph, k)
+
+
+@pytest.mark.parametrize("scenario", ["golden", "community_bw"])
+def test_kclique_matches_networkx_at_every_recompute(monkeypatch, scenario):
+    # the familiar graph that each recompute of a run builds; the graph
+    # follows the trace alone, so one router stands for every community router
+    if scenario == "golden":
+        trace, workload = golden_scenario()
+        cfg = desk_sim_config(trace, workload, "bubblerap", DAY, buffer_capacity=GOLDEN_CAPACITY)
+    else:  # the benchmark's 45-node, 14-day desk routine, seed 1
+        trace, workload = desk_scenario(1, node_count=45, days=14, messages=200)
+        cfg = desk_sim_config(
+            trace, workload, "bubblerap", 2 * DAY,
+            buffer_capacity=20_000_000, bandwidth=BANDWIDTH_WIFI_11MBPS,
+        )
+    seen = []
+
+    def recorded(graph, k):
+        communities = k_clique_communities(graph, k)
+        seen.append((dict(graph), k, communities))
+        return communities
+
+    monkeypatch.setattr(engine, "k_clique_communities", recorded)
+    run_simulation(cfg)
+    assert len(seen) > 1 and any(cm.communities for _, _, cm in seen)
+    for graph, k, communities in seen:
+        assert communities.communities == _networkx_communities(graph, k)
 
 
 def test_centrality_examples():
