@@ -89,7 +89,7 @@ def _cmd_run(args) -> int:
         return EXIT_USAGE
     try:
         results_path, aggregate_path = run_experiment(
-            cfg, jobs=max(1, args.jobs), dump_ledgers=args.dump_ledgers
+            cfg, jobs=args.jobs, dump_ledgers=args.dump_ledgers
         )
     except ConfigError as exc:  # an input that only a read scenario or a cell shows to be bad
         print(f"config error: {exc}", file=sys.stderr)

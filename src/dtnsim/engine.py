@@ -6,11 +6,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
-from types import MappingProxyType
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .contacts import ConfigError, ContactEvent, ContactTrace, SampleConfig, split_contact_by_samples
@@ -65,7 +64,7 @@ CSV_CHUNK_RECORDS = 8192
 DROP_POLICIES = ("oldest_first", "newest_first")
 
 # what routers outside LEDGER_ROUTERS get instead of ledger reads
-_NO_WEIGHTS = MappingProxyType({})
+_NO_WEIGHTS = ()
 
 _ORDER_KEY = attrgetter("order_key")
 _INDEX_KEY = attrgetter("index")
@@ -204,7 +203,9 @@ class NodeRuntime:
     message, which says what the node holds (decisions filter it, and an
     expiry asks every node's in node-id order), and `ordered`, in
     `Message.order_key` order as messages come and go, so eviction takes an
-    end of it.
+    end of it. `order_keys` holds the `order_key` of each message of
+    `ordered` at the same index, so a bisection compares tuples in C rather
+    than calling a key function per comparison.
     """
 
     def __init__(self, node_id: int, capacity: int):
@@ -212,6 +213,7 @@ class NodeRuntime:
         self.capacity = capacity
         self.buffer: dict[int, Message] = {}
         self.ordered: list[Message] = []
+        self.order_keys: list[tuple[float, int]] = []
         self.occupancy = 0
         # rows of the messages this node received as final recipient; the
         # candidate filter reads it so carriers do not replicate them again
@@ -221,18 +223,25 @@ class NodeRuntime:
         if m.row in self.buffer:
             raise ValueError(f"duplicate message {m.id} in buffer of node {self.node_id}")
         self.buffer[m.row] = m
-        insort(self.ordered, m, key=_ORDER_KEY)
+        key = m.order_key
+        i = bisect_right(self.order_keys, key)
+        self.order_keys.insert(i, key)
+        self.ordered.insert(i, m)
         self.occupancy += m.size
 
     def remove(self, row: int) -> Message:
         m = self.buffer.pop(row)
-        del self.ordered[bisect_left(self.ordered, m.order_key, key=_ORDER_KEY)]
+        i = bisect_left(self.order_keys, m.order_key)
+        del self.order_keys[i]
+        del self.ordered[i]
         self.occupancy -= m.size
         return m
 
     def evict(self, newest: bool) -> Message:
         """Remove and return the oldest (or the newest) buffered message."""
-        m = self.ordered.pop(-1 if newest else 0)
+        end = -1 if newest else 0
+        del self.order_keys[end]
+        m = self.ordered.pop(end)
         del self.buffer[m.row]
         self.occupancy -= m.size
         return m
@@ -533,10 +542,36 @@ class Simulation:
         # every message fits an empty buffer (checked at startup), so it is admitted
         node_id = node.node_id
         _, evicted = buffer_admit(node, m, self.cfg.drop_policy)
+        outbound = self.outbound[node_id]
         for victim in evicted:
-            self._mark_departed(node_id, victim.row)
+            # as `_mark_departed`: the senders of node_id's inbound directions
+            # may offer the victim again at their next scan
+            victim_row = victim.row
+            for direction in outbound:
+                direction.reverse.pending.add(victim_row)
             self._record((time, KIND_DROPPED, victim.id, node_id, None, None))
-        self._queue_evals(node_id, m.row)
+        # Row `row` just entered node_id's buffer: mark it pending on each of
+        # node_id's outbound directions whose receiver neither buffers it,
+        # was delivered it, nor was sent it on this contact (should it leave
+        # the receiver later, `_mark_departed` marks it then), and queue
+        # every direction for a scan, even one with nothing marked: the rows
+        # that `_mark_departed` marks wait for it. A row leaving a receiver
+        # queues no scan, which keeps buffer churn from looping at one
+        # instant; it waits as a pending row for the next scan of that
+        # direction, which may copy it to the receiver again on this same
+        # contact. Only rows in the direction's sent set stay suppressed
+        # until the contact ends.
+        row = m.row
+        nodes, evals = self.nodes, self._evals
+        for direction in outbound:
+            receiver = nodes[direction.dst]
+            if not (
+                row in receiver.buffer or row in receiver.delivered or row in direction.sent
+            ):
+                direction.pending.add(row)
+            if not direction.queued:
+                direction.queued = True
+                evals.append(direction)
 
     def _on_contact_end(self, time: float, index: int) -> None:
         oc = self.ongoing.pop(index)
@@ -588,7 +623,11 @@ class Simulation:
         if ledger is not None:
             ledger.meet(a, b)
             if self._charges_summaries:
-                meta_bytes = sum(64 + 8 * len(ledger.weights_to_all_neighbors(n)) for n in (a, b))
+                # 8 bytes per known peer: the nonzero entries of each weight row
+                meta_bytes = 0
+                for n in (a, b):
+                    weights = ledger.weights_to_all_neighbors(n)
+                    meta_bytes += 64 + 8 * (len(weights) - weights.count(0.0))
                 oc.busy_until = time + meta_bytes * 8.0 / self.cfg.bandwidth
 
         for direction in oc.directions:
@@ -596,34 +635,12 @@ class Simulation:
 
     # -- decisions ---------------------------------------------------------
 
-    def _queue_evals(self, node_id: int, row: int) -> None:
-        # Row `row` just entered node_id's buffer: mark it pending on each of
-        # node_id's outbound directions whose receiver neither buffers it,
-        # was delivered it, nor was sent it on this contact (should it leave
-        # the receiver later, `_mark_departed` marks it then), and queue
-        # every direction for a scan, even one with nothing marked: the rows
-        # that `_mark_departed` marks wait for it. A row leaving a receiver
-        # queues no scan, which keeps buffer churn from looping at one
-        # instant; it waits as a pending row for the next scan of that
-        # direction, which may copy it to the receiver again on this same
-        # contact. Only rows in the direction's sent set stay suppressed
-        # until the contact ends.
-        nodes = self.nodes
-        for direction in self.outbound[node_id]:
-            receiver = nodes[direction.dst]
-            if not (
-                row in receiver.buffer or row in receiver.delivered or row in direction.sent
-            ):
-                direction.pending.add(row)
-            if not direction.queued:
-                direction.queued = True
-                self._evals.append(direction)
-
     def _mark_departed(self, node_id: int, row: int) -> None:
-        # Row `row` left node_id's buffer, so the senders of node_id's
-        # inbound directions (the reverses of its outbound ones) may offer it
-        # again at their next scan. Expiry needs no mark: the row leaves
-        # every buffer at once.
+        # Row `row` left node_id's buffer by community deletion, so the
+        # senders of node_id's inbound directions (the reverses of its
+        # outbound ones) may offer it again at their next scan. `_admit`
+        # marks its evictions itself, and expiry needs no mark: the row
+        # leaves every buffer at once.
         for direction in self.outbound[node_id]:
             direction.reverse.pending.add(row)
 
@@ -654,6 +671,8 @@ class Simulation:
             inputs = (self._recomputes, ledger.clock, peer_importance > sender_importance)
         if direction.inputs == inputs:
             rows = direction.pending
+            if not rows:
+                return
         else:
             direction.inputs = inputs
             rows = sender.buffer
@@ -677,13 +696,8 @@ class Simulation:
         else:
             sender_weights = ledger.weights_to_all_neighbors(src)
             peer_weights = ledger.weights_to_all_neighbors(dst)
-        carrier = CarrierState(
-            node_id=src,
-            messages=messages,
-            weights=sender_weights,
-            importance=sender_importance,
-        )
-        peer = PeerSummary(node_id=dst, weights=peer_weights, importance=peer_importance)
+        carrier = CarrierState(src, messages, sender_weights, sender_importance)
+        peer = PeerSummary(dst, peer_weights, peer_importance)
         decision = decide(self.cfg.router, carrier, peer, self.communities, self.centralities)
         if not decision.replicate:
             return
@@ -692,14 +706,16 @@ class Simulation:
     def _apply_decision(self, direction: _Direction, time: float, decision: RouterDecision) -> None:
         # every offered row is committed to this contact: done, in flight, or
         # aborted because the link is saturated, which is not retried
-        direction.sent.update(decision.replicate)
+        replicate, delete_after = decision
+        direction.sent.update(replicate)
         src, dst, oc = direction.src, direction.dst, direction.contact
-        delete_rows = set(decision.delete_after)
-        msgs = [self.rows[row] for row in decision.replicate]
+        rows = self.rows
         if self.cfg.bandwidth is None:
-            for m in msgs:
-                self._receive(time, src, dst, m, delete_after=m.row in delete_rows)
+            for row in replicate:
+                self._receive(time, src, dst, rows[row], row in delete_after)
             return
+        delete_rows = set(delete_after)
+        msgs = [rows[row] for row in replicate]
         completed, aborted = transfer_within_contact(
             oc.event, msgs, self.cfg.bandwidth, start=max(time, oc.busy_until)
         )

@@ -345,7 +345,12 @@ def run_experiment(
     cfg: ExperimentConfig, jobs: int = 1, dump_ledgers: bool = False
 ) -> tuple[Path, Path]:
     """Run every plan cell, write per-run logs plus the results and aggregate
-    CSVs, and return their paths."""
+    CSVs, and return their paths. `jobs` worker processes run the cells, but
+    never more than there are cells: a pool starts all of its workers at
+    its first task."""
+    if jobs < 1:
+        raise ConfigError("jobs", f"must be >= 1, got {jobs}")
+    jobs = min(jobs, len(cfg.cells))
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     # a generator: serially, only one seed's scenario is alive at a time
     tasks = _cell_tasks(cfg, dump_ledgers)

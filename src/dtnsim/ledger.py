@@ -70,7 +70,7 @@ class SocialLedger:
         self._peer_importance = [[base] * n for _ in range(n)]  # [node][peer]
         self._coeff = decay_coefficients(t)
         self._matrix: np.ndarray | None = None  # the open slot's weights
-        self._rows: list[dict[int, float] | None] = [None] * n
+        self._rows: list[list[float] | None] = [None] * n
 
     def _check_pair(self, a: int, b: int) -> None:
         if a == b or not (0 <= a < self.node_count and 0 <= b < self.node_count):
@@ -142,15 +142,15 @@ class SocialLedger:
         order = (sample_index + np.arange(t)) % t
         return np.take(self._ad_by_sample, order, axis=1).transpose(0, 2, 1) @ self._coeff
 
-    def weights_to_all_neighbors(self, node: int) -> dict[int, float]:
-        """The node's current weights toward every known peer (zero-weight
-        peers omitted), built once per node and slot."""
+    def weights_to_all_neighbors(self, node: int) -> list[float]:
+        """The node's current weights toward every node, indexed by node id
+        (0.0 for an unknown peer and for the node itself): its row of the
+        slot's weight matrix, built once per node and slot."""
         row = self._rows[node]
         if row is None:
             if self._matrix is None:
                 self._matrix = self.weights_at(self.current_sample)
-            row = {p: w for p, w in enumerate(self._matrix[node].tolist()) if w}
-            self._rows[node] = row
+            row = self._rows[node] = self._matrix[node].tolist()
         return row
 
     def update_importance(self, node: int) -> float:
@@ -168,7 +168,7 @@ class SocialLedger:
             weights = self.weights_to_all_neighbors(node)
             cached = self._peer_importance[node]
             for peer in sorted(met):
-                w = weights.get(peer, 0.0)
+                w = weights[peer]
                 if w > 0.0:  # zero-weight terms contribute nothing; also avoids 0 * inf
                     total += w * cached[peer]
         value = base + self.damping * (total / n) if n else base

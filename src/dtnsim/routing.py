@@ -12,12 +12,15 @@ own, so a router asked about a subset of the candidates answers for each as
 it would in the whole list. The routers read importance only as
 `peer.importance > carrier.importance`, so the engine treats that
 comparison, not the two values, as a decision input.
+
+A node's `weights` is a sequence indexed by node id: its current-sample
+weight toward each node, 0.0 for a peer it does not know (the routers that
+read no weights get an empty one).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import NamedTuple, Sequence
 
 from .socialgraph import CentralityTable, CommunityMap
 from .workload import Message
@@ -30,8 +33,7 @@ LEDGER_ROUTERS = ("dlife", "dlifecomm")
 COMMUNITY_ROUTERS = ("dlifecomm", "bubblerap")
 
 
-@dataclass(frozen=True)
-class RouterDecision:
+class RouterDecision(NamedTuple):
     """The workload rows of the messages to copy to the peer, and of the
     copies the carrier drops after a successful transfer."""
 
@@ -39,28 +41,26 @@ class RouterDecision:
     delete_after: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class CarrierState:
+class CarrierState(NamedTuple):
     """The deciding node: the candidates to decide on, in creation-time
     order (only messages it buffers and the peer lacks; the caller filters
-    them), its current-sample weights toward known peers, and its
-    importance."""
+    them), its current-sample weights indexed by node id (0.0 for an
+    unknown peer), and its importance."""
 
     node_id: int
     messages: Sequence[Message]
-    weights: Mapping[int, float]
+    weights: Sequence[float]
     importance: float
 
 
-@dataclass(frozen=True)
-class PeerSummary:
-    """What the encountered node reports at contact time: weights toward all
-    its known peers for the current sample and its importance. What it holds
-    is not here: the caller has already left those messages out of the
-    carrier's candidates."""
+class PeerSummary(NamedTuple):
+    """What the encountered node reports at contact time: its current-sample
+    weights indexed by node id (0.0 for an unknown peer) and its importance.
+    What it holds is not here: the caller has already left those messages
+    out of the carrier's candidates."""
 
     node_id: int
-    weights: Mapping[int, float]
+    weights: Sequence[float]
     importance: float
 
 
@@ -71,7 +71,7 @@ def epidemic_on_contact(
     centralities: CentralityTable,
 ) -> RouterDecision:
     """Flood: copy every message handed in (each one the peer lacks)."""
-    return RouterDecision(tuple(m.row for m in carrier.messages))
+    return RouterDecision(tuple([m.row for m in carrier.messages]))
 
 
 def dlife_on_contact(
@@ -82,13 +82,16 @@ def dlife_on_contact(
 ) -> RouterDecision:
     """Copy when the peer has a strictly stronger routine tie to the
     destination; otherwise fall back to comparing node importance."""
+    peer_id, peer_weights, carrier_weights = peer.node_id, peer.weights, carrier.weights
+    peer_more_important = peer.importance > carrier.importance
     replicate = []
     for m in carrier.messages:
-        if m.destination == peer.node_id:
-            replicate.append(m.row)
-        elif peer.weights.get(m.destination, 0.0) > carrier.weights.get(m.destination, 0.0):
-            replicate.append(m.row)
-        elif peer.importance > carrier.importance:
+        dest = m.destination
+        if (
+            dest == peer_id
+            or peer_weights[dest] > carrier_weights[dest]
+            or peer_more_important
+        ):
             replicate.append(m.row)
     return RouterDecision(tuple(replicate))
 
@@ -112,7 +115,7 @@ def dlifecomm_on_contact(
         if m.destination == peer.node_id:
             send = True
         elif peer_inside:
-            send = peer.weights.get(m.destination, 0.0) > carrier.weights.get(m.destination, 0.0)
+            send = peer.weights[m.destination] > carrier.weights[m.destination]
         else:
             send = peer.importance > carrier.importance
         if send:

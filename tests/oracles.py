@@ -486,7 +486,7 @@ class FullScanSimulation(Simulation):
             weights = ledger.weights_to_all_neighbors(src), ledger.weights_to_all_neighbors(dst)
             importance = ledger.importance(src), ledger.importance(dst)
         else:
-            weights, importance = ({}, {}), (0.0, 0.0)
+            weights, importance = ((), ()), (0.0, 0.0)
         carrier = CarrierState(src, candidates, weights[0], importance[0])
         peer = PeerSummary(dst, weights[1], importance[1])
         decision = decide(self.cfg.router, carrier, peer, self.communities, self.centralities)
@@ -517,6 +517,14 @@ def weights_at_strided(ad, coeff, sample_index):
     t = ad.shape[2]
     order = (sample_index + np.arange(t)) % t
     return np.take(ad.transpose(0, 2, 1), order, axis=1).transpose(0, 2, 1) @ coeff
+
+
+def neighbor_weight_dict(ledger, node):
+    """The node's current weights in the form `weights_to_all_neighbors`
+    once returned: `{peer: weight}` over the nonzero entries of the node's
+    row of the slot's weight matrix, zero-weight peers left out."""
+    row = ledger.weights_at(ledger.current_sample)[node].tolist()
+    return {p: w for p, w in enumerate(row) if w}
 
 
 def reference_routine_trace(spec: RoutineSpec, seed: int) -> ContactTrace:

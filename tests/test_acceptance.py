@@ -416,14 +416,12 @@ def test_criterion_7_rank_invariances():
         peer_id = rng.randint(1, peers)
         base = dlife_on_contact(
             CarrierState(0, msgs, base_w, importance_c),
-            PeerSummary(peer_id, {k: 2.0 * v for k, v in base_w.items()}, importance_p),
+            PeerSummary(peer_id, [2.0 * w for w in base_w], importance_p),
             *social,
         )
         scaled = dlife_on_contact(
             CarrierState(0, msgs, scaled_w, importance_c),
-            PeerSummary(
-                peer_id, {k: 2.0 * v for k, v in scaled_w.items()}, importance_p
-            ),
+            PeerSummary(peer_id, [2.0 * w for w in scaled_w], importance_p),
             *social,
         )
         assert base == scaled
@@ -431,10 +429,11 @@ def test_criterion_7_rank_invariances():
 
     # strict ties keep the message on the carrier
     tie_msgs = messages_from_workload([WorkloadEntry(0.0, 0, 3, 100)], ttl=DAY)
-    for weights in ({}, {3: 5.0}):
+    # rows indexed by node id: destination 3 unknown to both, then equally known
+    for weights in ([0.0] * 4, [0.0, 0.0, 0.0, 5.0]):
         decision = dlife_on_contact(
             CarrierState(0, tie_msgs, weights, 0.6),
-            PeerSummary(1, dict(weights), 0.6),
+            PeerSummary(1, list(weights), 0.6),
             *social,
         )
         assert decision.replicate == ()

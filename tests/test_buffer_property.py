@@ -41,3 +41,5 @@ def test_buffer_matches_min_scan_model(drop_policy, entries, data):
             assert (ok, evicted) == model.admit(m, drop_policy)
         assert node.occupancy == model.occupancy
         assert tuple(node.ordered) == model.messages_by_creation()
+        # the bisections read the key list, so it must stay aligned with `ordered`
+        assert node.order_keys == [m.order_key for m in node.ordered]

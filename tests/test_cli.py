@@ -3,12 +3,13 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
 
 import dtnsim
-from dtnsim import parse_contact_trace, parse_workload
+from dtnsim import experiment, parse_contact_trace, parse_workload
 from dtnsim.cli import EXIT_OK, EXIT_USAGE, main
 
 
@@ -208,6 +209,51 @@ def test_run_reports_bad_inputs_as_config_errors(tmp_path, capsys, case, jobs):
     assert main(["run", "--config", str(tmp_path / "plan.json"), "--jobs", jobs]) == EXIT_USAGE
     assert capsys.readouterr().err == f"config error: {message.format(**files)}\n"
     assert not (tmp_path / "res" / "results.csv").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_run_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    write_routine_spec(tmp_path / "routine.json")
+    cfg = write_config(tmp_path / "plan.json", "res")
+    assert main(["run", "--config", str(cfg), "--jobs", jobs]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"config error: jobs: must be >= 1, got {jobs}\n"
+    assert not (tmp_path / "res" / "results.csv").exists()
+
+
+def test_run_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
+    # a pool forks all of its workers at its first task, so the pool is
+    # replaced by one that records its size and runs each task at once
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
+    write_routine_spec(tmp_path / "routine.json")
+    cfg = write_config(tmp_path / "plan.json", "res")  # two cells
+
+    def run(jobs):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == EXIT_OK
+        return (out / "results.csv").read_bytes()
+
+    results = run("5000")
+    assert run("2") == results
+    assert sizes == [2, 2]
+    assert run("1") == results
+    assert sizes == [2, 2]  # one job runs the cells in this process, without a pool
 
 
 def test_run_accepts_a_workload_window_from_the_epoch(tmp_path):

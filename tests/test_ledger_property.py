@@ -4,7 +4,8 @@ averages, neighbor sets and weights, and importance equal up to rounding.
 
 Importance is not compared bit for bit. The table reads each pair weight
 from its one N x N weight matrix, whose rows round like the reference's
-per-node matrix-vector product (`weights_to_all_neighbors`). The reference's
+per-node matrix-vector product (`weights_to_all_neighbors`, a dict of the
+nonzero weights, against the table's weight row). The reference's
 `update_importance` instead takes each weight from `tecd_weight`, a per-pair
 dot product that can round the same sum differently in the last bit; the
 difference then travels through every importance value exchanged later.
@@ -20,7 +21,7 @@ from hypothesis.extra.numpy import arrays
 
 from dtnsim import SampleConfig, SocialLedger
 
-from oracles import PerNodeLedger, weights_at_strided
+from oracles import PerNodeLedger, neighbor_weight_dict, weights_at_strided
 
 duration = st.one_of(
     st.floats(min_value=1e-3, max_value=3600.0),
@@ -77,7 +78,9 @@ def test_table_matches_per_node_ledgers(samples_per_day, data):
             assert (table.tct[node] == ledger._tct).all()
             assert (table.ad[node] == ledger._ad).all()
             assert table.neighbors[node] == ledger.neighbors_in_current_sample()
-            assert table.weights_to_all_neighbors(node) == ledger.weights_to_all_neighbors()
+            row = table.weights_to_all_neighbors(node)
+            assert len(row) == n
+            assert {p: w for p, w in enumerate(row) if w} == ledger.weights_to_all_neighbors()
             for i in range(samples_per_day):
                 assert same_importance(table.importance(node, i), ledger.importance(i))
             for peer in range(n):
@@ -102,3 +105,25 @@ def test_weights_match_the_pair_major_gather(data):
     for i in range(t):
         expected = weights_at_strided(pair_major, ledger._coeff, i)
         assert ledger.weights_at(i).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_weight_rows_equal_the_neighbor_dicts(data):
+    # a row reads 0.0 exactly where the dict form has no key, and its count
+    # of nonzero entries is the dict's length: the charged summary's bytes
+    # per known peer, which the pinned charged dlife log rests on
+    n = data.draw(st.integers(2, 7), label="nodes")
+    t = data.draw(st.sampled_from([1, 2, 3, 24]), label="samples_per_day")
+    ledger = SocialLedger(n, SampleConfig(t, 86400))
+    for _ in range(data.draw(st.integers(0, 2 * t), label="rolls")):
+        ledger.roll_sample()
+    averages = st.one_of(st.just(0.0), st.floats(1e-3, 1e5), st.floats(1e5, 1e150))
+    ledger.ad[...] = data.draw(arrays(float, (n, n, t), elements=averages), label="ad")
+    for node in range(n):
+        row = ledger.weights_to_all_neighbors(node)
+        old = neighbor_weight_dict(ledger, node)
+        assert len(row) == n
+        for peer in range(n):
+            assert row[peer] == old.get(peer, 0.0)
+        assert len(row) - row.count(0.0) == len(old)

@@ -18,6 +18,14 @@ from dtnsim import (
 
 NO_COMMUNITIES = CommunityMap.empty()
 NO_CENTRALITIES = CentralityTable.empty()
+NODES = 10  # every node id the tests below use is below this
+
+
+def row(weights):
+    """A weight row over NODES nodes, indexed by node id, from a
+    `{peer: weight}` dict: 0.0 for every peer the dict leaves out."""
+    weights = weights or {}
+    return [weights.get(p, 0.0) for p in range(NODES)]
 
 
 def msg(row, source=0, destination=9, created=0.0, size=1000, ttl=86400.0):
@@ -25,11 +33,11 @@ def msg(row, source=0, destination=9, created=0.0, size=1000, ttl=86400.0):
 
 
 def carrier(messages, weights=None, importance=0.0, node_id=0):
-    return CarrierState(node_id, tuple(messages), weights or {}, importance)
+    return CarrierState(node_id, tuple(messages), row(weights), importance)
 
 
 def peer(node_id=1, weights=None, importance=0.0):
-    return PeerSummary(node_id, weights or {}, importance)
+    return PeerSummary(node_id, row(weights), importance)
 
 
 def epidemic(state, other):
