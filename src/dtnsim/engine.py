@@ -296,19 +296,20 @@ def transfer_within_contact(
 class _Direction:
     """One direction of an ongoing contact, the unit the engine queues and
     scans: what its sender has committed to the receiver, and what changed
-    since its last scan."""
+    since its last scan. It links to neither its contact nor the contact's
+    other direction, so a contact still up when a run returns leaves no
+    reference cycle behind."""
 
-    __slots__ = ("contact", "index", "src", "dst", "reverse", "queued", "sent", "inputs", "pending")
+    __slots__ = ("index", "src", "dst", "alive", "back", "queued", "sent", "inputs", "pending")
 
-    def __init__(self, contact: _OngoingContact, index: int, src: int, dst: int):
-        # `contact` and `reverse` (the contact's other direction) are cleared
-        # when the contact ends: that marks a queued direction dead, and
-        # leaves no reference cycle behind
-        self.contact: _OngoingContact | None = contact
+    def __init__(self, index: int, src: int, dst: int, pending: set[int], back: set[int]):
         self.index = index  # contact index: the order of a node's outbound directions
         self.src = src
         self.dst = dst
-        self.reverse: _Direction | None = None
+        self.alive = True  # cleared when the contact ends: a queued dead direction is skipped
+        # the other direction's `pending` set: a row that leaves this
+        # direction's sender is marked there
+        self.back = back
         self.queued = False  # in the scan queue
         # rows committed to this contact (done, in flight, or abandoned)
         self.sent: set[int] = set()
@@ -316,8 +317,9 @@ class _Direction:
         self.inputs: tuple | None = None
         # rows that entered the sender, or left the receiver by eviction or
         # community deletion, since the last scan: the only rows whose
-        # answer can have changed while the inputs stay the same
-        self.pending: set[int] = set()
+        # answer can have changed while the inputs stay the same. It is one
+        # set for the whole contact, as the other direction's `back` holds it.
+        self.pending = pending
 
 
 class _OngoingContact:
@@ -327,8 +329,9 @@ class _OngoingContact:
         self.event = event
         self.busy_until = busy_until
         a, b = event.node_a, event.node_b
-        ab, ba = _Direction(self, index, a, b), _Direction(self, index, b, a)
-        ab.reverse, ba.reverse = ba, ab
+        ab_pending, ba_pending = set(), set()
+        ab = _Direction(index, a, b, ab_pending, ba_pending)
+        ba = _Direction(index, b, a, ba_pending, ab_pending)
         self.directions = (ab, ba)
         self.aborts: list[tuple[int, int, int]] = []  # (from, to, row), logged at contact end
 
@@ -376,6 +379,11 @@ class Simulation:
         self.horizon = max([self._last_end] + [m.expires_at for m in self.rows])
         self._heap: list[tuple] = []
         self._evals: deque[_Direction] = deque()
+        # the events that can still log: queued creations, expiries and
+        # transfer completions, and aborts waiting for their contact's end.
+        # Once it reaches 0, every message has expired, and so left every
+        # buffer, and no handler can log again: `run` stops there.
+        self._open = 0
 
     def _validate(self) -> None:
         # the settings were checked when the SimConfig was built; these
@@ -437,6 +445,7 @@ class Simulation:
             self._push(ev.start, _PRI_CONTACT_START, ev.node_a, ev.node_b, -1, idx)
         for m in self.rows:
             self._push(m.created_at, _PRI_CREATE, m.source, m.destination, m.row)
+        self._open += len(self.rows)
         if self.ledger is not None:
             self._push_boundary(_PRI_ROLL, 1)
         if self.meetings is not None:
@@ -450,18 +459,51 @@ class Simulation:
             self._push(self.epoch + n * length, pri, -1, -1, -1, n)
 
     def run(self, sink: Callable[[list[tuple]], object] | None = None) -> EventLog:
-        """Process every event and return the log. With a `sink`, the log's
-        records are handed to it as the run goes: a list of at least
-        `CSV_CHUNK_RECORDS` records whenever the log grows that long between
-        two events, and the rest when the run ends. The engine clears the
-        list once the sink returns, so the returned log is empty and a sink
-        that keeps records must copy them."""
+        """Process events until none can log again, and return the log: the
+        run stops once every message has expired and no transfer or abort
+        is left to log, so the contacts, rolls and recomputes after that stay
+        on the heap for `to_horizon`. With a `sink`, the log's records are
+        handed to it as the run goes: a list of at least `CSV_CHUNK_RECORDS`
+        records whenever the log grows that long between two events, and the
+        rest when the run ends. The engine clears the list once the sink
+        returns, so the returned log is empty and a sink that keeps records
+        must copy them."""
         self._seed_events()
+        self._play(sink, until_idle=True)
+        return self.log
+
+    def to_horizon(self) -> None:
+        """After `run`, bring what the dumps read to the horizon: play the
+        rest of the heap, then make the rolls, and the last recompute by
+        then, that the run leaves out after the last contact end. Raises
+        RuntimeError if that adds a record, which the stop rule of `run`
+        rules out. A second call changes nothing."""
+        logged = len(self.log.records)
+        self._play(None, until_idle=False)
+        if len(self.log.records) != logged:
+            raise RuntimeError(
+                f"{len(self.log.records) - logged} records logged after the run stopped"
+            )
+        epoch, horizon = self.epoch, self.horizon
+        if self.ledger is not None:
+            while epoch + (self.ledger.clock + 1) * self.cfg.sample.sample_length <= horizon:
+                self.ledger.roll_sample()
+        if self.meetings is not None:
+            interval = self.cfg.recompute_interval
+            n = int((horizon - epoch) // interval) + 1
+            while epoch + n * interval > horizon:
+                n -= 1
+            if n > self._recomputes:
+                self._on_recompute(epoch + n * interval, n)
+
+    def _play(self, sink: Callable[[list[tuple]], object] | None, until_idle: bool) -> None:
+        # the one event loop: until no event can log (`run`), or until the
+        # heap is empty (`to_horizon`)
         heap = self._heap
         records = self.log.records
         # without a sink the log is never cut, so its length never reaches this
         chunk = CSV_CHUNK_RECORDS if sink is not None else math.inf
-        while heap:
+        while heap and (self._open or not until_idle):
             time, pri, a, b, row, extra = heapq.heappop(heap)
             if pri == _PRI_EXPIRE:
                 self._on_expire(time, row)
@@ -484,23 +526,6 @@ class Simulation:
         if sink is not None and records:
             sink(records)
             records.clear()
-        return self.log
-
-    def to_horizon(self) -> None:
-        """After `run`, bring what the dumps read to the horizon: the rolls,
-        and the last recompute by then, that the run leaves out after the
-        last contact end. A second call changes nothing."""
-        epoch, horizon = self.epoch, self.horizon
-        if self.ledger is not None:
-            while epoch + (self.ledger.clock + 1) * self.cfg.sample.sample_length <= horizon:
-                self.ledger.roll_sample()
-        if self.meetings is not None:
-            interval = self.cfg.recompute_interval
-            n = int((horizon - epoch) // interval) + 1
-            while epoch + n * interval > horizon:
-                n -= 1
-            if n > self._recomputes:
-                self._on_recompute(epoch + n * interval, n)
 
     # -- handlers ----------------------------------------------------------
 
@@ -509,6 +534,7 @@ class Simulation:
         # event; expiries are processed first among simultaneous events, so the
         # message can never move at or after this instant. Each buffer is
         # asked in node-id order, so its expiries are logged in that order.
+        self._open -= 1
         msg_id = self.rows[row].id
         for node in self.nodes:
             if row in node.buffer:
@@ -516,6 +542,7 @@ class Simulation:
                 self._record((time, KIND_EXPIRED, msg_id, node.node_id, None, None))
 
     def _on_transfer_complete(self, time: float, src: int, dst: int, row: int, flags: int) -> None:
+        self._open -= 1
         m = self.rows[row]
         if m.expires_at <= time:
             self._record((time, KIND_ABORTED, m.id, src, dst, None))
@@ -548,7 +575,7 @@ class Simulation:
             # may offer the victim again at their next scan
             victim_row = victim.row
             for direction in outbound:
-                direction.reverse.pending.add(victim_row)
+                direction.back.add(victim_row)
             self._record((time, KIND_DROPPED, victim.id, node_id, None, None))
         # Row `row` just entered node_id's buffer: mark it pending on each of
         # node_id's outbound directions whose receiver neither buffers it,
@@ -578,7 +605,8 @@ class Simulation:
         ev = oc.event
         for direction in oc.directions:
             self.outbound[direction.src].remove(direction)
-            direction.contact = direction.reverse = None
+            direction.alive = False
+        self._open -= len(oc.aborts)
         for src, dst, row in oc.aborts:
             self._record((time, KIND_ABORTED, self.rows[row].id, src, dst, None))
         if self.ledger is not None:
@@ -608,6 +636,7 @@ class Simulation:
         m = self.rows[row]
         self._admit(time, self.nodes[m.source], m)
         self._record((time, KIND_CREATED, m.id, m.source, m.destination, m.size))
+        # the expiry takes the creation's place among the open events
         self._push(m.expires_at, _PRI_EXPIRE, 0, 0, row)
 
     def _on_contact_start(self, time: float, index: int) -> None:
@@ -642,14 +671,14 @@ class Simulation:
         # marks its evictions itself, and expiry needs no mark: the row
         # leaves every buffer at once.
         for direction in self.outbound[node_id]:
-            direction.reverse.pending.add(row)
+            direction.back.add(row)
 
     def _drain_evals(self, time: float) -> None:
         evals = self._evals
         while evals:
             direction = evals.popleft()
             direction.queued = False
-            if direction.contact is not None:
+            if direction.alive:
                 self._evaluate_direction(direction, time)
 
     def _evaluate_direction(self, direction: _Direction, time: float) -> None:
@@ -676,8 +705,6 @@ class Simulation:
         else:
             direction.inputs = inputs
             rows = sender.buffer
-        # rows this decision makes the receiver evict belong to the next scan
-        direction.pending = set()
         # the only candidate filter: rows the sender holds that the receiver
         # neither buffers nor was delivered, and that this contact has not
         # sent; filtered as ints, so only the candidates are sorted
@@ -687,6 +714,8 @@ class Simulation:
             r for r in rows
             if r in ours and r not in theirs and r not in delivered and r not in sent
         ]
+        # rows this decision makes the receiver evict belong to the next scan
+        direction.pending.clear()
         if not rows:
             return
         messages = sorted([ours[r] for r in rows], key=_ORDER_KEY)
@@ -708,12 +737,13 @@ class Simulation:
         # aborted because the link is saturated, which is not retried
         replicate, delete_after = decision
         direction.sent.update(replicate)
-        src, dst, oc = direction.src, direction.dst, direction.contact
+        src, dst = direction.src, direction.dst
         rows = self.rows
         if self.cfg.bandwidth is None:
             for row in replicate:
                 self._receive(time, src, dst, rows[row], row in delete_after)
             return
+        oc = self.ongoing[direction.index]
         delete_rows = set(delete_after)
         msgs = [rows[row] for row in replicate]
         completed, aborted = transfer_within_contact(
@@ -723,6 +753,7 @@ class Simulation:
             oc.busy_until = done
             self._push(done, _PRI_TRANSFER, src, dst, m.row, int(m.row in delete_rows))
         oc.aborts.extend((src, dst, m.row) for m in aborted)
+        self._open += len(completed) + len(aborted)
 
 
 def run_simulation(cfg: SimConfig) -> EventLog:

@@ -38,7 +38,13 @@ from dtnsim.routing import ROUTER_NAMES
 from dtnsim.socialgraph import centrality_csv, communities_json
 from dtnsim.workload import WorkloadEntry
 
-from oracles import EagerEndsSimulation, earliest_delivery, replay_log, rescan_window_centrality
+from oracles import (
+    EagerEndsSimulation,
+    WholeHeapSimulation,
+    earliest_delivery,
+    replay_log,
+    rescan_window_centrality,
+)
 from scenarios import DAY, GOLDEN_CAPACITY, desk_scenario, desk_sim_config, golden_scenario
 
 
@@ -398,6 +404,7 @@ def test_epoch_auto_floors_to_day_boundary():
     sim = Simulation(simple_cfg(trace, ()), keep_ledger=True)
     assert sim.epoch == 86400.0
     sim.run()
+    sim.to_horizon()  # with no message, the run stops before the contact
     # relative slot: hour 1 of day 0; the slot is still open, so the
     # accumulated time has not been folded into the average yet
     assert sim.ledger.tct[0, 1, 1] == 100.0
@@ -463,13 +470,11 @@ def contact_lists(draw):
     return n, contacts, workload
 
 
-@pytest.mark.parametrize("bandwidth", [None, BANDWIDTH_WIFI_11MBPS])
-@pytest.mark.parametrize("router", ROUTER_NAMES)
-@settings(max_examples=40, deadline=None)
-@given(case=contact_lists())
-def test_contact_ends_pushed_at_start_keep_the_log(router, bandwidth, case):
+def grid_cfg(router, bandwidth, case):
+    """A `contact_lists` case as a config, with 100 s samples and a TTL that
+    ends most messages before the last contacts."""
     n, contacts, workload = case
-    cfg = SimConfig(
+    return SimConfig(
         trace=trace_of(contacts, n),
         workload=entries(*workload),
         router=router,
@@ -483,7 +488,91 @@ def test_contact_ends_pushed_at_start_keep_the_log(router, bandwidth, case):
         centrality_window=100.0,
         recompute_interval=150.0,
     )
+
+
+def horizon_dumps(sim):
+    """Everything the dumps of `sim` read, once it is brought to its horizon."""
+    sim.to_horizon()
+    return (
+        *map("".join, zip(*dump_ledgers_csv(sim.ledger))),
+        communities_json(sim.communities),
+        centrality_csv(sim.centralities, sim.communities, sim.cfg.trace.node_count),
+        sim.ledger.clock,
+    )
+
+
+@pytest.mark.parametrize("bandwidth", [None, BANDWIDTH_WIFI_11MBPS])
+@pytest.mark.parametrize("router", ROUTER_NAMES)
+@settings(max_examples=40, deadline=None)
+@given(case=contact_lists())
+def test_contact_ends_pushed_at_start_keep_the_log(router, bandwidth, case):
+    cfg = grid_cfg(router, bandwidth, case)
     assert Simulation(cfg).run().to_csv() == EagerEndsSimulation(cfg).run().to_csv()
+
+
+@pytest.mark.parametrize("bandwidth", [None, BANDWIDTH_WIFI_11MBPS])
+@pytest.mark.parametrize("router", ROUTER_NAMES)
+@settings(max_examples=40, deadline=None)
+@given(case=contact_lists())
+def test_a_run_stops_where_no_event_can_log(router, bandwidth, case):
+    # the run stops once no event can log; the oracle handles every event.
+    # Bringing the run to its horizon logs nothing, and leaves the dumps of
+    # the oracle's.
+    cfg = grid_cfg(router, bandwidth, case)
+    sim, whole = Simulation(cfg, keep_ledger=True), WholeHeapSimulation(cfg, keep_ledger=True)
+    log = sim.run().to_csv()
+    assert log == whole.run().to_csv()
+    logged = len(sim.log)
+    dumps = horizon_dumps(sim)
+    assert len(sim.log) == logged
+    assert dumps == horizon_dumps(whole)
+
+
+def test_late_aborts_keep_the_run_going():
+    # both messages expire at 100 s, before anything else is logged: m00000
+    # goes 0 -> 1 on a 1 s transfer that completes at 100.5 s, past its
+    # expiry, and m00001's transfer 2 -> 3 cannot finish by its contact's
+    # end at 100.7 s. A run that stopped at the last expiry would log neither.
+    size = int(BANDWIDTH_WIFI_11MBPS / 8)  # one second on the link
+    trace = trace_of([(0, 1, 99.5, 200.0), (2, 3, 99.8, 100.7)], node_count=4)
+    cfg = simple_cfg(
+        trace, entries((0.0, 0, 1, size), (0.0, 2, 3, size)), ttl=100.0,
+        bandwidth=BANDWIDTH_WIFI_11MBPS, epoch=0.0,
+    )
+    sim = Simulation(cfg)
+    records = list(sim.run())
+    assert records == [
+        (0.0, KIND_CREATED, "m00000", 0, 1, size),
+        (0.0, KIND_CREATED, "m00001", 2, 3, size),
+        (100.0, KIND_EXPIRED, "m00000", 0, None, None),
+        (100.0, KIND_EXPIRED, "m00001", 2, None, None),
+        (100.5, KIND_ABORTED, "m00000", 0, 1, None),
+        (100.7, KIND_ABORTED, "m00001", 2, 3, None),
+    ]
+    assert records == WholeHeapSimulation(cfg).run().records
+    # the end of the first contact is left for `to_horizon`
+    assert list(sim.ongoing) == [0]
+    sim.to_horizon()
+    assert not sim.ongoing and not sim._heap
+    assert len(sim.log) == len(records)
+
+
+def test_to_horizon_fails_loudly_on_a_late_record():
+    # the stop rule rules a record out after `run`; were one logged, the
+    # replay raises rather than leave it out of the event log
+    trace = trace_of([(0, 1, 100.0, 200.0), (0, 1, 300.0, 400.0)])
+    sim = Simulation(simple_cfg(trace, entries((0.0, 0, 1, 1000)), ttl=250.0, epoch=0.0))
+    sim.run()
+    assert sim._heap  # the second contact is unplayed
+    on_start = sim._on_contact_start
+
+    def logging_start(time, index):
+        sim._record((time, KIND_CREATED, "m99999", 0, 1, 1))
+        on_start(time, index)
+
+    sim._on_contact_start = logging_start
+    with pytest.raises(RuntimeError, match="1 records logged after the run stopped"):
+        sim.to_horizon()
 
 
 def test_recomputes_after_the_last_contact_skip_to_the_horizon():
@@ -546,6 +635,7 @@ def test_a_trace_built_directly_runs_as_one_from_events():
     ]
     assert sims[0].horizon == sims[1].horizon == 8000.0
     assert sims[0].run().records == sims[1].run().records
+    sims[0].to_horizon()  # the run stops at the expiry, before the second contact
     assert sims[0].ledger.clock == 2
 
 
@@ -647,19 +737,9 @@ def test_to_horizon_twice_leaves_the_dumps_of_once():
         on_recompute(time, n)
 
     sim._on_recompute = recompute
-
-    def dumps():
-        sim.to_horizon()
-        return (
-            *map("".join, zip(*dump_ledgers_csv(sim.ledger))),
-            communities_json(sim.communities),
-            centrality_csv(sim.centralities, sim.communities, sim.cfg.trace.node_count),
-            sim.ledger.clock,
-        )
-
-    once = dumps()
+    once = horizon_dumps(sim)
     assert len(recomputes) == 1
-    assert dumps() == once
+    assert horizon_dumps(sim) == once
     assert len(recomputes) == 1
 
 

@@ -1,8 +1,9 @@
 """Golden event logs: the SHA-256 of `events.csv` for every router, link
 model and drop policy on one small desk scenario and for runs that charge
-summaries to the link, of the ledger dump of one `dlife` run, and of the
+summaries to the link, of the ledger dump of one `dlife` run, of the
 community and centrality dumps of one `bubblerap` run whose horizon lies
-days past its last contact.
+days past its last contact, and of the logs and dumps of runs that stop
+most of a day before their last contact.
 
 A change that must not alter behaviour (a refactor, a faster buffer or
 decision path) keeps every hash here; a change that alters a log on purpose
@@ -15,7 +16,7 @@ import pytest
 
 from dtnsim import BANDWIDTH_WIFI_11MBPS as MBPS_11
 from dtnsim import Simulation, run_simulation
-from dtnsim.engine import KIND_ABORTED, KIND_DROPPED
+from dtnsim.engine import KIND_ABORTED, KIND_DROPPED, KIND_EXPIRED
 from dtnsim.experiment import cell_dir_name, load_experiment_config, run_experiment
 from dtnsim.ledger import dump_ledgers_csv
 from dtnsim.socialgraph import centrality_csv, communities_json
@@ -87,6 +88,24 @@ GOLDEN_LEDGER_DUMP = (
 GOLDEN_SOCIAL_DUMP = (
     "8fe0e951dedc91d414dbf149f50acaf80d2f1db3c541a1f4fd54844f4468931d",
     "d81012191c5f8ffa27270b76b648ed531c20abe7fd9c4f59c2bf6f9ec28b8e7a",
+)
+
+
+# TTL 6 hours, unlimited bandwidth, oldest first: the last message expires
+# at day 2.24, so the run stops there, most of a day before the last contact
+# end (the horizon), and `to_horizon` replays that day for the dumps. The
+# ledger follows the contacts alone, so it dumps as the 1-day run's does;
+# the communities are those of the 4-day run, the centralities are not.
+GOLDEN_SHORT_TTL = 6 * HOUR
+# router -> events.csv sha256
+GOLDEN_SHORT_TTL_LOGS = {
+    "dlife": "9925e867437771cfaafda7742a7343e89e49b06277c3ac38229229e6c2a9fbb5",
+    "bubblerap": "a8d7ee8527fa592a41c9a359d6682d5c04f3b04fe6164e2e80a0702f7ccaaa5e",
+}
+# bubblerap: (communities.json sha256, centrality.csv sha256)
+GOLDEN_SHORT_TTL_SOCIAL_DUMP = (
+    "8fe0e951dedc91d414dbf149f50acaf80d2f1db3c541a1f4fd54844f4468931d",
+    "010b675e3dd8169a7d90c5692acc2b2199a0e20ef8d37909970c7d851aaf01e8",
 )
 
 
@@ -249,3 +268,56 @@ def test_golden_dumps_of_the_plan_runner(tmp_path):
     assert hashes("dlife", DAY, "ledger_pairs.csv", "ledger_importance.csv") == GOLDEN_LEDGER_DUMP
     social = hashes("bubblerap", 4 * DAY, "communities.json", "centrality.csv")
     assert social == GOLDEN_SOCIAL_DUMP
+
+
+def short_ttl_sim(scenario, router):
+    trace, workload = scenario
+    return Simulation(
+        desk_sim_config(
+            trace, workload, router, ttl=GOLDEN_SHORT_TTL, buffer_capacity=GOLDEN_CAPACITY
+        )
+    )
+
+
+@pytest.mark.parametrize("router", sorted(GOLDEN_SHORT_TTL_LOGS))
+def test_golden_dumps_of_a_run_that_stops_early(scenario, router):
+    sim = short_ttl_sim(scenario, router)
+    assert sha256(sim.run().to_csv()) == GOLDEN_SHORT_TTL_LOGS[router]
+    sim.to_horizon()
+    if router == "dlife":
+        pair_csv, imp_csv = map("".join, zip(*dump_ledgers_csv(sim.ledger)))
+        assert (sha256(pair_csv), sha256(imp_csv)) == GOLDEN_LEDGER_DUMP
+    else:
+        dumps = (
+            communities_json(sim.communities),
+            centrality_csv(sim.centralities, sim.communities, sim.cfg.trace.node_count),
+        )
+        assert tuple(sha256(d) for d in dumps) == GOLDEN_SHORT_TTL_SOCIAL_DUMP
+
+
+def test_a_golden_run_stops_at_its_last_expiry(scenario):
+    # the contacts that start after the last expiry are left on the heap
+    # by `run`, and `to_horizon` plays them, each once
+    sim = short_ttl_sim(scenario, "bubblerap")
+    started = []
+    on_start = sim._on_contact_start
+
+    def start(time, index):
+        started.append(index)
+        on_start(time, index)
+
+    sim._on_contact_start = start
+    log = sim.run()
+    last_expiry = max(m.expires_at for m in sim.rows)
+    assert log.records[-1][:2] == (last_expiry, KIND_EXPIRED)
+    events = sim.cfg.trace.events
+    assert max(events[i].start for i in started) <= last_expiry
+    unplayed = sorted(set(range(len(events))) - set(started))
+    assert min(events[i].start for i in unplayed) >= last_expiry
+    assert len(unplayed) > len(events) / 5
+    assert sim.horizon - last_expiry > 0.5 * DAY
+    logged = len(log)
+    sim.to_horizon()
+    assert sorted(started) == list(range(len(events)))
+    assert not sim._heap and not sim.ongoing
+    assert len(sim.log) == logged
